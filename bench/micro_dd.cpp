@@ -134,28 +134,6 @@ void BM_CompiledAddEval(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledAddEval);
 
-void BM_CompiledPackedEval(benchmark::State& state) {
-  // Same diagram again, 64 assignments per bit-parallel sweep.
-  DdManager mgr(24);
-  const CompiledDd compiled = CompiledDd::compile(eval_workload(mgr));
-  std::vector<std::uint64_t> bits(24);
-  std::vector<std::uint64_t> scratch;
-  double out[64];
-  std::uint64_t counter = 0x9e3779b97f4a7c15ull;
-  for (auto _ : state) {
-    for (std::size_t v = 0; v < 24; ++v) {
-      counter ^= counter << 13;
-      counter ^= counter >> 7;
-      bits[v] = counter;
-    }
-    compiled.eval_packed(bits.data(), 64, out, scratch);
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-  state.counters["nodes"] = static_cast<double>(compiled.num_nodes());
-}
-BENCHMARK(BM_CompiledPackedEval);
-
 void BM_NodeStatsTraversal(benchmark::State& state) {
   DdManager mgr(24);
   Add f = mgr.constant(0.0);

@@ -110,35 +110,6 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
     return est;
   }));
 
-  // Prior hot loop: the 64-lane eval_packed kernel this PR's wide sweep
-  // replaced, reproduced verbatim so the JSON keeps a before/after pair.
-  rep.results.push_back(measure("packed64", 1, transitions, [&] {
-    const dd::CompiledDd& compiled = model.compiled();
-    std::vector<std::uint32_t> vi(n.num_inputs()), vf(n.num_inputs());
-    for (std::uint32_t k = 0; k < n.num_inputs(); ++k) {
-      vi[k] = model.var_of_xi(k);
-      vf[k] = model.var_of_xf(k);
-    }
-    std::vector<std::uint64_t> bits(2 * n.num_inputs());
-    std::vector<std::uint64_t> scratch;
-    double values[64];
-    power::TraceEstimate est;
-    est.transitions = transitions;
-    for (std::size_t base = 0; base < transitions; base += 64) {
-      const std::size_t m = std::min<std::size_t>(64, transitions - base);
-      for (std::uint32_t k = 0; k < n.num_inputs(); ++k) {
-        bits[vi[k]] = seq.window64(k, base);
-        bits[vf[k]] = seq.window64(k, base + 1);
-      }
-      compiled.eval_packed(bits.data(), m, values, scratch);
-      for (std::size_t t = 0; t < m; ++t) {
-        est.total_ff += values[t];
-        est.peak_ff = std::max(est.peak_ff, values[t]);
-      }
-    }
-    return est;
-  }));
-
   // One row per SIMD tier the CPU supports; the dispatch clamp would make
   // an unsupported request silently re-measure a lower kernel, so skip
   // tiers the clamp rejects instead of emitting duplicate rows.
@@ -201,22 +172,8 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
     };
     std::vector<std::uint64_t> wide_bits(kW * 2 * n.num_inputs());
     for (auto& w : wide_bits) w = next();
-    // The 64-lane layout is the wide layout's first column (stride 1).
-    std::vector<std::uint64_t> one_bits(2 * n.num_inputs());
-    for (std::size_t v = 0; v < one_bits.size(); ++v) {
-      one_bits[v] = wide_bits[kW * v];
-    }
     std::vector<std::uint64_t> scratch;
     double values[64 * kW];
-    rep.results.push_back(measure("kernel-packed64", 1, transitions, [&] {
-      power::TraceEstimate est;
-      est.transitions = transitions;
-      for (std::size_t base = 0; base < transitions; base += 64) {
-        compiled_dd.eval_packed(one_bits.data(), 64, values, scratch);
-      }
-      est.total_ff = values[0];
-      return est;
-    }));
     for (const dd::simd::Tier tier : {dd::simd::Tier::kScalar,
                                       dd::simd::Tier::kAvx2,
                                       dd::simd::Tier::kAvx512}) {
@@ -268,24 +225,6 @@ int main() {
                      eval::TextTable::num(r.patterns_per_sec / scalar_pps, 2)});
     }
     table.print(std::cout);
-    const auto row = [&rep](const std::string& engine) -> const Result* {
-      for (const Result& r : rep.results) {
-        if (r.engine == engine) return &r;
-      }
-      return nullptr;
-    };
-    for (const auto& [now, before] :
-         {std::pair<const char*, const char*>{"wide-avx2", "packed64"},
-          {"kernel-avx2", "kernel-packed64"}}) {
-      const Result* a = row(now);
-      const Result* b = row(before);
-      if (a != nullptr && b != nullptr) {
-        std::cout << "  " << now << " vs " << before << ": "
-                  << eval::TextTable::num(
-                         a->patterns_per_sec / b->patterns_per_sec, 2)
-                  << "x\n";
-      }
-    }
   }
 
   // Atomic write: a crashed or interrupted run never leaves a truncated

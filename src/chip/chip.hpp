@@ -69,15 +69,12 @@ struct MacroBuildReport {
 
 struct ChipBuildOptions {
   /// Per-macro node budget MAX (0 = exact). The default keeps the demo
-  /// library exact, which also makes builds bit-identical across
-  /// --build-threads (exact builds with the standard library's integer
-  /// loads are order-insensitive).
+  /// library exact.
   std::size_t max_nodes = 4000;
   /// Per-macro governor wall-clock deadline; each macro build gets a fresh
   /// governor so one slow macro cannot starve the rest of the library.
   std::optional<std::size_t> deadline_ms;
   bool degrade = true;  ///< walk the §9 degradation ladder per macro
-  std::size_t build_threads = 1;
   netlist::GateLibrary library = netlist::GateLibrary::standard();
 };
 

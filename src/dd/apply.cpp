@@ -24,18 +24,11 @@ bool is_commutative(Op op) noexcept {
     case Op::kTimes:
     case Op::kMax:
     case Op::kMin:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
       return true;
     case Op::kMinus:
       return false;
   }
   return false;
-}
-
-[[maybe_unused]] bool is_logical(Op op) noexcept {
-  return op == Op::kAnd || op == Op::kOr || op == Op::kXor;
 }
 
 }  // namespace
@@ -52,12 +45,6 @@ double DdManager::apply_terminal(Op op, double a, double b) {
       return std::max(a, b);
     case Op::kMin:
       return std::min(a, b);
-    case Op::kAnd:
-      return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
-    case Op::kOr:
-      return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
-    case Op::kXor:
-      return ((a != 0.0) != (b != 0.0)) ? 1.0 : 0.0;
   }
   CFPM_UNREACHABLE("bad Op");
 }
@@ -84,17 +71,12 @@ Edge DdManager::apply_shortcut(Op op, Edge f, Edge g) const noexcept {
     case Op::kMin:
       if (f == g) return f;
       break;
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-      break;  // logical operators never reach apply (see ite)
   }
   return kNilEdge;
 }
 
 Edge DdManager::apply(Op op, Edge f, Edge g) {
   CFPM_ASSERT(f != kNilEdge && g != kNilEdge);
-  CFPM_ASSERT(!is_logical(op));  // logical ops route through ite
   maybe_gc();
   return apply_rec(op, f, g);
 }

@@ -133,77 +133,6 @@ CompiledDd CompiledDd::compile(const Add& f) {
 
 CompiledDd CompiledDd::compile(const Bdd& f) { return compile(Add(f)); }
 
-void CompiledDd::eval_block(const std::uint8_t* assignments, std::size_t stride,
-                            std::size_t count, double* out) const {
-  CFPM_REQUIRE(stride >= num_vars_needed_);
-  constexpr std::size_t kLanes = 16;
-  const Node* const nodes = nodes_.data();
-  for (std::size_t base = 0; base < count; base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, count - base);
-    std::uint32_t idx[kLanes];
-    const std::uint8_t* a[kLanes];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      idx[l] = root_;
-      a[l] = assignments + (base + l) * stride;
-    }
-    for (std::uint32_t step = 0; step < depth_; ++step) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const Node& n = nodes[idx[l]];
-        idx[l] = (a[l][n.var] ? n.hi : n.lo) & kIndexMask;
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out[base + l] = values_[idx[l] - first_terminal_];
-    }
-  }
-}
-
-void CompiledDd::eval_packed(const std::uint64_t* bits, std::size_t count,
-                             double* out,
-                             std::vector<std::uint64_t>& scratch) const {
-  CFPM_REQUIRE(count >= 1 && count <= 64);
-  const std::uint64_t all =
-      count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
-  if (root_ >= first_terminal_) {
-    const double v = values_[root_ - first_terminal_];
-    for (std::size_t k = 0; k < count; ++k) out[k] = v;
-    return;
-  }
-  if (scratch.size() < nodes_.size()) scratch.assign(nodes_.size(), 0);
-  std::uint64_t* const reach = scratch.data();
-  reach[root_] = all;
-  const Node* const nodes = nodes_.data();
-  // Children always sit at higher indices, so reach[i] is final when the
-  // sweep arrives at i; each assignment's bit flows root -> one sink.
-  // Unconditionally updating (no skip of unreached nodes) keeps the loop
-  // free of data-dependent branches, which is worth far more than the
-  // saved ORs: reach masks are unpredictable, and ~1000 mispredicted
-  // skips per 64-assignment block would dominate the sweep. First-edge
-  // stores (keep mask 0) reinitialize every child, so stale masks from the
-  // previous batch never survive and scratch is never cleared.
-  for (std::uint32_t i = 0; i < first_terminal_; ++i) {
-    const std::uint64_t m = reach[i];
-    const Node& n = nodes[i];
-    const std::uint64_t b = bits[n.var];
-    const std::uint64_t keep_hi = static_cast<std::uint64_t>(n.hi >> 31) - 1;
-    const std::uint64_t keep_lo = static_cast<std::uint64_t>(n.lo >> 31) - 1;
-    std::uint64_t* const hi = reach + (n.hi & kIndexMask);
-    std::uint64_t* const lo = reach + (n.lo & kIndexMask);
-    *hi = (*hi & keep_hi) | (m & b);
-    *lo = (*lo & keep_lo) | (m & ~b);
-  }
-  const std::uint32_t num_nodes = static_cast<std::uint32_t>(nodes_.size());
-  for (std::uint32_t i = first_terminal_; i < num_nodes; ++i) {
-    std::uint64_t m = reach[i];
-    if (m == 0) continue;
-    const double v = values_[i - first_terminal_];
-    do {
-      out[std::countr_zero(m)] = v;
-      m &= m - 1;
-    } while (m != 0);
-  }
-}
-
 void CompiledDd::eval_packed_wide(const std::uint64_t* bits, std::size_t count,
                                   double* out,
                                   std::vector<std::uint64_t>& scratch) const {

@@ -27,9 +27,9 @@ class CompiledDd {
   /// One flattened node: 12 bytes, no pointers. `hi`/`lo` index back into
   /// the same array (indices >= num_internal_nodes() are terminal sinks).
   /// Bit 31 of `hi`/`lo` (kFirstEdge) marks the child's first incoming
-  /// edge in sweep order; the packed evaluators overwrite the child's
-  /// reach mask there instead of OR-merging, which removes the need to
-  /// zero the mask array between batches. Walkers mask it off with
+  /// edge in sweep order; the packed sweep overwrites the child's reach
+  /// mask there instead of OR-merging, which removes the need to zero the
+  /// mask array between batches. Walkers mask it off with
   /// kIndexMask before using a successor as an index.
   struct Node {
     std::uint32_t var;  ///< variable tested (sinks repeat a valid index)
@@ -60,25 +60,21 @@ class CompiledDd {
     return values_[idx - first_terminal_];
   }
 
-  /// Batch evaluation: pattern p's assignment is the `min_assignment_size()`
-  /// bytes at `assignments + p * stride`; out[p] receives its value. The
-  /// inner loop is lane-blocked — a small block of patterns advances one
-  /// level per step, so the serial dependency of one pointer walk is hidden
-  /// behind the independent walks of the other lanes.
-  void eval_block(const std::uint8_t* assignments, std::size_t stride,
-                  std::size_t count, double* out) const;
-
-  /// Bit-parallel batch evaluation: up to 64 assignments in ONE sweep over
-  /// the node array. `bits[v]` packs the 64 assignments' values of variable
-  /// `v` (bit k = assignment k); `out[k]` receives assignment k's value,
-  /// bit-identical to eval(). Because the array is topologically sorted, a
-  /// single forward pass can propagate a reach mask (which assignments'
-  /// paths visit each node) from the root to the sinks, so the cost scales
-  /// with num_nodes() per 64 assignments instead of depth() per assignment.
+  /// Bit-parallel batch evaluation: up to 64 * kPackedGroups assignments
+  /// per call. `bits[kPackedGroups * v + w]` packs group w's values of
+  /// variable v (bit k = assignment 64*w + k; the stride is kPackedGroups
+  /// regardless of count), and assignment 64*w + k's value lands in
+  /// out[64*w + k], bit-identical to eval(). Because the array is
+  /// topologically sorted, a single forward pass propagates reach masks
+  /// (which assignments' paths visit each node) from the root to the sinks,
+  /// so the cost scales with num_nodes() per 64 assignments instead of
+  /// depth() per assignment. Internally the groups are processed
+  /// sweep_groups() at a time through the widest SIMD kernel the active
+  /// dispatch tier supports (dd/simd.hpp); every tier is bit-identical.
   /// `scratch` is caller-owned mask storage, reused across calls so hot
   /// loops stay allocation-free.
-  void eval_packed(const std::uint64_t* bits, std::size_t count, double* out,
-                   std::vector<std::uint64_t>& scratch) const;
+  void eval_packed_wide(const std::uint64_t* bits, std::size_t count,
+                        double* out, std::vector<std::uint64_t>& scratch) const;
 
   /// Number of 64-assignment groups eval_packed_wide accepts per call (the
   /// fixed stride of the caller's `bits` layout). 8 matches one AVX-512
@@ -96,16 +92,6 @@ class CompiledDd {
   /// node array once per this many groups, trading sweeps for locality on
   /// large diagrams.
   std::size_t sweep_groups() const noexcept { return sweep_groups_; }
-
-  /// As eval_packed, but up to kPackedGroups groups of 64 assignments per
-  /// call: `bits[kPackedGroups * v + w]` packs group w's values of variable
-  /// v (the stride is kPackedGroups regardless of count), and assignment
-  /// 64*w + k's value lands in out[64*w + k]. Internally the groups are
-  /// processed sweep_groups() at a time through the widest SIMD kernel the
-  /// active dispatch tier supports (dd/simd.hpp); every tier is
-  /// bit-identical to eval().
-  void eval_packed_wide(const std::uint64_t* bits, std::size_t count,
-                        double* out, std::vector<std::uint64_t>& scratch) const;
 
   std::size_t num_internal_nodes() const noexcept { return first_terminal_; }
   std::size_t num_terminals() const noexcept { return values_.size(); }

@@ -38,19 +38,15 @@ namespace cfpm::dd {
 class Bdd;
 class Add;
 
-/// Binary operations usable with DdManager::apply. The logical operations
-/// are implemented through complement-edge ITE (see apply.cpp) rather than
-/// generic apply; the enumerators remain for source compatibility and as
-/// cache tags.
+/// Arithmetic (ADD-realm) operations usable with DdManager::apply; each
+/// value doubles as the computed-cache tag. Logical operations are not
+/// here: they go through complement-edge ITE (see apply.cpp).
 enum class Op : std::uint8_t {
   kPlus,   ///< arithmetic sum
   kMinus,  ///< arithmetic difference
   kTimes,  ///< arithmetic product (== AND on 0/1 diagrams)
   kMax,    ///< pointwise maximum (== OR on 0/1 diagrams)
   kMin,    ///< pointwise minimum
-  kAnd,    ///< logical AND, requires 0/1 terminals
-  kOr,     ///< logical OR, requires 0/1 terminals
-  kXor,    ///< logical XOR, requires 0/1 terminals
 };
 
 /// Tuning knobs for a DdManager.

@@ -2,10 +2,15 @@
 
 namespace cfpm::dd::simd {
 
-// Reference sweep: one uint64 per step. Also the correctness baseline the
-// simd-dispatch oracle compares the wide kernels against, so keep it a
-// line-for-line transcription of CompiledDd::eval_packed generalized to W
-// mask words per node.
+// Reference sweep: one uint64 per step, W mask words per node. Also the
+// correctness baseline the simd-dispatch oracle compares the wide kernels
+// against, so keep it the plainest form of the sweep. Children always sit
+// at higher indices, so row i is final when the sweep arrives at i. Every
+// node is updated unconditionally (no skip of unreached rows): reach masks
+// are unpredictable, and data-dependent skips would mispredict far more
+// than the saved ORs are worth. First-edge stores (keep mask 0)
+// reinitialize every child, so stale masks from the previous batch never
+// survive and scratch is never cleared.
 //
 // No local mask copy is needed (unlike eval_packed_wide's fixed-W loop):
 // the node array is level-sorted, so a node's children sit at strictly

@@ -59,7 +59,7 @@ Server::Server(ServerOptions options)
 }
 
 Server::~Server() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (const int fd = listen_fd_.exchange(-1); fd >= 0) ::close(fd);
 }
 
 void Server::log(const std::string& line) const {
@@ -76,7 +76,7 @@ void Server::request_shutdown(bool from_signal) noexcept {
   stop_.store(true, std::memory_order_release);
   // Wake the blocked accept(2). shutdown on a listening socket makes it
   // return immediately; both calls here are async-signal-safe.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (const int fd = listen_fd_.load(); fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 int Server::run() {
@@ -88,26 +88,27 @@ int Server::run() {
     }
   }
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
     throw IoError(std::string("cfpmd: socket: ") + std::strerror(errno));
   }
+  listen_fd_.store(fd);
   ::unlink(options_.socket_path.c_str());
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, options_.socket_path.c_str(),
                sizeof(addr.sun_path) - 1);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     throw IoError("cfpmd: bind " + options_.socket_path + ": " +
                   std::strerror(errno));
   }
-  if (::listen(listen_fd_, 64) != 0) {
+  if (::listen(fd, 64) != 0) {
     throw IoError(std::string("cfpmd: listen: ") + std::strerror(errno));
   }
   log("listening on " + options_.socket_path);
 
-  accept_loop();
+  accept_loop(fd);
 
   // Drain: no new connections are possible. Shut the read side of every
   // live connection so idle readers see EOF; a thread mid-request finishes
@@ -132,8 +133,7 @@ int Server::run() {
   log("drained " + std::to_string(drained) + " connection(s)");
 
   persist();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  if (const int owned = listen_fd_.exchange(-1); owned >= 0) ::close(owned);
   ::unlink(options_.socket_path.c_str());
 
   const bool by_signal = stopped_by_signal_.load(std::memory_order_relaxed);
@@ -141,11 +141,11 @@ int Server::run() {
   return by_signal ? kExitSignal : kExitOk;
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   static const metrics::Counter c_accept("serve.accept.count");
   static const metrics::Counter c_accept_error("serve.accept.error");
   while (!stop_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (stop_.load(std::memory_order_acquire)) break;
@@ -477,7 +477,6 @@ service::ChipReply Server::handle_chip(const wire::Frame& frame) {
     br.options.kind = kind;
     br.options.max_nodes = request.max_nodes;
     br.options.degrade = request.degrade;
-    br.options.build_threads = request.build_threads;
     br.options.deadline_ms = request.deadline_ms;
     service::BuildReply reply = build_model(std::move(br));
     chip::SourcedModel out;

@@ -121,7 +121,7 @@ class Server {
     std::atomic<bool> finished{false};
   };
 
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void handle_connection(int fd);
   /// Dispatches one decoded frame; returns false when the connection asked
   /// the server to shut down (reply already written).
@@ -154,7 +154,12 @@ class Server {
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  int listen_fd_ = -1;
+  // Atomic because request_shutdown reads it from another thread (or a
+  // signal handler: lock-free, so still async-signal-safe) while run()
+  // sets and clears it. Whoever closes the socket takes it with
+  // exchange(-1) first.
+  std::atomic<int> listen_fd_{-1};
+  static_assert(std::atomic<int>::is_always_lock_free);
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_by_signal_{false};
 };

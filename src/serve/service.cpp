@@ -131,10 +131,10 @@ ModelId model_id(const netlist::Netlist& n, const BuildOptions& o) {
     h = fnv1a_64_mix(h, static_cast<std::uint64_t>(o.order));
     h = fnv1a_64_mix(h, o.reorder_passes);
     h = fnv1a_64_mix(h, o.approximate_during_construction ? 1 : 0);
-    // Serial and parallel construction may approximate at different points;
-    // parallel results are identical for any thread count >= 2, so only the
-    // serial/parallel split is identity-relevant.
-    h = fnv1a_64_mix(h, o.build_threads == 1 ? 0 : 1);
+    // Retired slot: it held a serial/parallel construction bit, 0 for the
+    // serial build that is now the only one. Mixing the constant keeps
+    // every ModelId (and every persisted registry) from before valid.
+    h = fnv1a_64_mix(h, 0);
     h = fnv1a_64_mix(h, o.characterization_vectors);
     h = fnv1a_64_mix(h, o.characterization_seed);
     return h;
@@ -161,8 +161,6 @@ power::ModelOptions to_model_options(const BuildOptions& o,
   mo.add.reorder_passes = o.reorder_passes;
   mo.add.approximate_during_construction = o.approximate_during_construction;
   mo.add.degrade = o.degrade;
-  mo.add.build_threads = o.build_threads;
-  mo.add.cone_retry.max_attempts = o.build_retries + 1;
   if (!governor) governor = std::make_shared<Governor>();
   if (o.deadline_ms) {
     governor->set_deadline(std::chrono::milliseconds(*o.deadline_ms));
@@ -250,7 +248,6 @@ cfpm::chip::ChipBuildOptions to_chip_build_options(const ChipRequest& r) {
   co.max_nodes = r.max_nodes;
   co.deadline_ms = r.deadline_ms;
   co.degrade = r.degrade;
-  co.build_threads = r.build_threads;
   return co;
 }
 

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -161,7 +162,14 @@ void write_frame(int fd, MsgType type, std::string_view payload) {
   const std::string frame = encode_frame(type, payload);
   std::size_t off = 0;
   while (off < frame.size()) {
-    const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
+    // MSG_NOSIGNAL: a peer that already closed (a connection the server
+    // dropped right after accept) must surface as EPIPE -> IoError, not as
+    // a process-killing SIGPIPE. Non-socket fds fall back to write(2).
+    ssize_t n = ::send(fd, frame.data() + off, frame.size() - off,
+                       MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) {
+      n = ::write(fd, frame.data() + off, frame.size() - off);
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       throw IoError(std::string("wire: write failed: ") + std::strerror(errno));
@@ -225,8 +233,6 @@ std::string encode_build_request(const service::BuildRequest& req) {
      << "reorder-passes " << o.reorder_passes << "\n"
      << "approx " << (o.approximate_during_construction ? 1 : 0) << "\n"
      << "degrade " << (o.degrade ? 1 : 0) << "\n"
-     << "build-threads " << o.build_threads << "\n"
-     << "build-retries " << o.build_retries << "\n"
      << "deadline-ms " << (o.deadline_ms ? std::to_string(*o.deadline_ms)
                                          : std::string("none"))
      << "\n"
@@ -257,8 +263,6 @@ service::BuildRequest decode_build_request(std::string_view payload) {
   o.reorder_passes = r.number<unsigned>("reorder-passes");
   o.approximate_during_construction = parse_flag(r.field("approx"), "approx");
   o.degrade = parse_flag(r.field("degrade"), "degrade");
-  o.build_threads = r.number<std::size_t>("build-threads");
-  o.build_retries = r.number<std::size_t>("build-retries");
   const std::string_view deadline = r.field("deadline-ms");
   if (deadline != "none") {
     const auto ms = parse_number<std::size_t>(deadline);
@@ -533,7 +537,6 @@ std::string encode_chip_request(const service::ChipRequest& req) {
      << "spec " << req.spec << "\n"
      << "max-nodes " << req.max_nodes << "\n"
      << "degrade " << (req.degrade ? 1 : 0) << "\n"
-     << "build-threads " << req.build_threads << "\n"
      << "deadline-ms " << (req.deadline_ms ? std::to_string(*req.deadline_ms)
                                            : std::string("none"))
      << "\n"
@@ -551,7 +554,6 @@ service::ChipRequest decode_chip_request(std::string_view payload) {
   req.spec = std::string(r.field("spec"));
   req.max_nodes = r.number<std::size_t>("max-nodes");
   req.degrade = parse_flag(r.field("degrade"), "degrade");
-  req.build_threads = r.number<std::size_t>("build-threads");
   const std::string_view deadline = r.field("deadline-ms");
   if (deadline != "none") {
     const auto ms = parse_number<std::size_t>(deadline);

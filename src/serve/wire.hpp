@@ -3,7 +3,7 @@
 // A frame is a fixed 16-byte binary header followed by a text payload:
 //
 //   bytes 0..3   magic "CFPM"
-//   bytes 4..5   protocol version (u16 LE) — currently 1
+//   bytes 4..5   protocol version (u16 LE) — currently 2
 //   bytes 6..7   message type (u16 LE, MsgType)
 //   bytes 8..11  payload length (u32 LE)
 //   bytes 12..15 CRC-32 of the payload (u32 LE)
@@ -31,7 +31,8 @@
 
 namespace cfpm::serve::wire {
 
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// 2: build and chip requests dropped their thread-count and retry lines.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr char kMagic[4] = {'C', 'F', 'P', 'M'};
 /// Upper bound on a payload a peer may declare (64 MiB): a corrupt length

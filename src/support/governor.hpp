@@ -21,9 +21,8 @@
 //    cheap and the diagram is structurally consistent.
 //  * Thread-safety: any thread may call request_cancellation() while a
 //    build polls the governor on another thread, and one Governor may be
-//    shared by several concurrently polling workers (the cone-parallel
-//    model build hands the same governor to every worker manager) — the
-//    tick counters are relaxed atomics and the peak tracker is a CAS max.
+//    shared by several concurrently polling workers — the tick counters
+//    are relaxed atomics and the peak tracker is a CAS max.
 //    Arm the deadline and any injected fault *before* workers start; those
 //    fields are plain loads on the hot path.
 //  * Fault injection (tests): inject_fault() arms a one-shot ResourceError

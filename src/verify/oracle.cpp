@@ -212,50 +212,22 @@ CheckResult check_compiled_vs_interp(const Netlist& n,
     if (got != ref[p]) return mismatch("CompiledDd::eval", p, got, ref[p]);
   }
 
-  std::vector<double> out(count);
-  c.eval_block(assignments.data(), nvars, count, out.data());
-  for (std::size_t p = 0; p < count; ++p) {
-    if (out[p] != ref[p]) return mismatch("eval_block", p, out[p], ref[p]);
-  }
-
-  // eval_packed, alternating diagrams through one shared scratch buffer.
-  std::vector<std::uint64_t> scratch;
-  std::vector<std::uint64_t> bits(nvars);
-  double lanes[64];
-  for (std::size_t base = 0; base < count; base += 64) {
-    const std::size_t m = std::min<std::size_t>(64, count - base);
-    for (std::size_t v = 0; v < nvars; ++v) {
-      std::uint64_t w = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        w |= static_cast<std::uint64_t>(assignments[(base + k) * nvars + v])
-             << k;
-      }
-      bits[v] = w;
-    }
-    c.eval_packed(bits.data(), m, lanes, scratch);
-    for (std::size_t k = 0; k < m; ++k) {
-      if (lanes[k] != ref[base + k]) {
-        return mismatch("eval_packed", base + k, lanes[k], ref[base + k]);
-      }
-    }
-    c2.eval_packed(bits.data(), m, lanes, scratch);  // same scratch, other DD
-    for (std::size_t k = 0; k < m; ++k) {
-      if (lanes[k] != ref2[base + k]) {
-        return mismatch("eval_packed (scratch reuse across DDs)", base + k,
-                        lanes[k], ref2[base + k]);
-      }
-    }
-    c.eval_packed(bits.data(), m, lanes, scratch);  // and back again
-    for (std::size_t k = 0; k < m; ++k) {
-      if (lanes[k] != ref[base + k]) {
-        return mismatch("eval_packed (scratch round trip)", base + k, lanes[k],
-                        ref[base + k]);
-      }
-    }
-  }
-
-  // eval_packed_wide over kPackedGroups 64-lane groups per sweep.
+  // eval_packed_wide over kPackedGroups 64-lane groups per sweep. Each
+  // block is swept by c, then c2, then c again through ONE scratch buffer:
+  // the second and third sweeps check that scratch reuse carries no state
+  // across diagrams.
   constexpr std::size_t kGroups = dd::CompiledDd::kPackedGroups;
+  struct Sweep {
+    const dd::CompiledDd& dd;
+    const std::vector<double>& want;
+    const char* engine;
+  };
+  const Sweep sweeps[] = {
+      {c, ref, "eval_packed_wide"},
+      {c2, ref2, "eval_packed_wide (scratch reuse across DDs)"},
+      {c, ref, "eval_packed_wide (scratch round trip)"},
+  };
+  std::vector<std::uint64_t> scratch;
   std::vector<std::uint64_t> wide_bits(kGroups * nvars);
   std::vector<double> wide_out(kWide);
   for (std::size_t base = 0; base < count; base += kWide) {
@@ -268,11 +240,12 @@ CheckResult check_compiled_vs_interp(const Netlist& n,
             << (k % 64);
       }
     }
-    c.eval_packed_wide(wide_bits.data(), m, wide_out.data(), scratch);
-    for (std::size_t k = 0; k < m; ++k) {
-      if (wide_out[k] != ref[base + k]) {
-        return mismatch("eval_packed_wide", base + k, wide_out[k],
-                        ref[base + k]);
+    for (const Sweep& sw : sweeps) {
+      sw.dd.eval_packed_wide(wide_bits.data(), m, wide_out.data(), scratch);
+      for (std::size_t k = 0; k < m; ++k) {
+        if (wide_out[k] != sw.want[base + k]) {
+          return mismatch(sw.engine, base + k, wide_out[k], sw.want[base + k]);
+        }
       }
     }
   }
@@ -588,82 +561,7 @@ CheckResult check_simd_dispatch(const Netlist& n, const CheckContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// (g) Cone-parallel construction: thread-count-independent, serial-equal
-//     for exact builds.
-// ---------------------------------------------------------------------------
-
-CheckResult check_parallel_build(const Netlist& n, const CheckContext& ctx) {
-  Xoshiro256 rng = check_rng(ctx.seed, 0xc909u);
-  const std::size_t nvars = 2 * n.num_inputs();
-
-  // (1) Any options: two different worker counts must produce bit-identical
-  // models (the partition and merge order depend only on the netlist).
-  {
-    const std::size_t max_nodes =
-        rng.next_bool(0.5) ? 0 : 16 + rng.next_below(256);
-    const dd::ApproxMode mode = rng.next_bool(0.5)
-                                    ? dd::ApproxMode::kAverage
-                                    : dd::ApproxMode::kUpperBound;
-    auto opt = sampled_options(rng, max_nodes, mode, ctx);
-    opt.build_threads = 2;
-    const auto a2 = build_add(n, opt);
-    opt.build_threads = 3 + rng.next_below(6);
-    const auto ak = build_add(n, opt);
-    if (a2->size() != ak->size()) {
-      return fail("parallel build not thread-count-independent: " +
-                  std::to_string(a2->size()) + " nodes at 2 threads vs " +
-                  std::to_string(ak->size()) + " at " +
-                  std::to_string(opt.build_threads));
-    }
-    std::vector<std::uint8_t> xi(n.num_inputs()), xf(n.num_inputs());
-    for (std::size_t p = 0; p < ctx.patterns; ++p) {
-      fill_random_bits(rng, xi);
-      fill_random_bits(rng, xf);
-      const double v2 = a2->estimate_ff(xi, xf);
-      const double vk = ak->estimate_ff(xi, xf);
-      if (v2 != vk) {  // bit-identical, not merely close
-        return fail("parallel build not thread-count-independent: " +
-                    format_double(v2) + " at 2 threads vs " +
-                    format_double(vk) + " at " +
-                    std::to_string(opt.build_threads) + " on x_i=" +
-                    bits_string(xi) + " x_f=" + bits_string(xf));
-      }
-    }
-  }
-
-  // (2) Exact build: parallel must equal the serial Fig. 6 loop exactly.
-  // The standard library's loads are small integers, so the per-path sums
-  // are exact in any association order and bitwise comparison is sound.
-  {
-    auto opt = sampled_options(rng, /*max_nodes=*/0,
-                               dd::ApproxMode::kAverage, ctx);
-    opt.build_threads = 1;
-    const auto serial = build_add(n, opt);
-    opt.build_threads = 2 + rng.next_below(6);
-    const auto parallel = build_add(n, opt);
-    std::vector<std::uint8_t> a(nvars);
-    for (std::size_t p = 0; p < ctx.patterns; ++p) {
-      fill_random_bits(rng, a);
-      const double s = serial->function().eval(a);
-      const double q = parallel->function().eval(a);
-      if (s != q) {
-        return fail("exact parallel build diverges from serial: " +
-                    format_double(q) + " vs " + format_double(s) + " with " +
-                    std::to_string(opt.build_threads) +
-                    " threads on assignment " + bits_string(a));
-      }
-    }
-    if (serial->function().average() != parallel->function().average()) {
-      return fail("exact parallel build changed the average: " +
-                  format_double(parallel->function().average()) + " vs " +
-                  format_double(serial->function().average()));
-    }
-  }
-  return pass();
-}
-
-// ---------------------------------------------------------------------------
-// (h) Daemon round-trip: cfpmd replies are bit-identical to the in-process
+// (g) Daemon round-trip: cfpmd replies are bit-identical to the in-process
 //     service facade, and the registry persisted on shutdown serves the
 //     same bits after a warm restart.
 // ---------------------------------------------------------------------------
@@ -726,8 +624,7 @@ CheckResult check_serve_roundtrip(const Netlist& n, const CheckContext& ctx) {
   Xoshiro256 rng = check_rng(ctx.seed, 0xda0b0au);
 
   // Sampled request with the wire-shape option subset; degrade off so the
-  // daemon must serve exactly the model the options ask for, serial build
-  // on both sides for bit-identical construction.
+  // daemon must serve exactly the model the options ask for.
   service::BuildRequest request;
   request.netlist = n;
   service::BuildOptions& b = request.options;
@@ -739,7 +636,6 @@ CheckResult check_serve_roundtrip(const Netlist& n, const CheckContext& ctx) {
   b.reorder_passes = static_cast<unsigned>(rng.next_below(3));
   b.approximate_during_construction = rng.next_bool(0.8);
   b.degrade = false;
-  b.build_threads = 1;
 
   service::EvalRequest eval;
   const double sp = 0.15 + 0.7 * rng.next_double();
@@ -851,8 +747,8 @@ constexpr Check kChecks[] = {
      "exact ADD C(x_i,x_f) equals golden zero-delay simulation (Eq. 4)",
      check_model_vs_sim},
     {"compiled-vs-interp",
-     "compiled eval/eval_block/eval_packed/eval_packed_wide match "
-     "interpreted Add::eval bit-for-bit, including scratch reuse",
+     "compiled eval/eval_packed_wide match interpreted Add::eval "
+     "bit-for-bit, including scratch reuse across diagrams",
      check_compiled_vs_interp},
     {"collapse-avg",
      "avg-collapse and average-mode leaf quantization preserve the uniform "
@@ -878,10 +774,6 @@ constexpr Check kChecks[] = {
      "eval_packed_wide is bit-identical to Add::eval on every SIMD tier "
      "(scalar/AVX2/AVX-512), including power-of-two-padded tails",
      check_simd_dispatch},
-    {"parallel-build",
-     "cone-parallel construction is bit-identical across thread counts and "
-     "equals the serial Fig. 6 loop exactly for exact builds",
-     check_parallel_build},
     {"serve-roundtrip",
      "cfpmd build/eval/trace replies over the wire are bit-identical to the "
      "in-process service facade, and the registry persisted on shutdown "

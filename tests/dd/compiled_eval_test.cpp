@@ -59,31 +59,27 @@ TEST(CompiledEval, MatchesNodeWalkOnRandomNetlistAdds) {
       ASSERT_EQ(compiled.eval(a), f.eval(a))
           << "circuit " << c << " pattern " << p;
     }
-    // Batch (lane-blocked) equivalence.
-    std::vector<double> out(kPatterns);
-    compiled.eval_block(assignments.data(), nv, kPatterns, out.data());
-    for (std::size_t p = 0; p < kPatterns; ++p) {
-      std::span<const std::uint8_t> a(assignments.data() + p * nv, nv);
-      ASSERT_EQ(out[p], f.eval(a)) << "circuit " << c << " pattern " << p;
-    }
-    // Bit-parallel (64 assignments per sweep) equivalence, including the
-    // ragged tail block (kPatterns % 64 == 16).
-    std::vector<std::uint64_t> bits(nv);
+    // Bit-parallel (kPackedGroups x 64 assignments per call) equivalence,
+    // including the ragged tail block (kPatterns % 512 == 272).
+    constexpr std::size_t W = CompiledDd::kPackedGroups;
+    std::vector<std::uint64_t> bits(W * nv);
     std::vector<std::uint64_t> scratch;
-    double packed_out[64];
-    for (std::size_t base = 0; base < kPatterns; base += 64) {
-      const std::size_t m = std::min<std::size_t>(64, kPatterns - base);
+    double packed_out[64 * W];
+    for (std::size_t base = 0; base < kPatterns; base += 64 * W) {
+      const std::size_t m = std::min<std::size_t>(64 * W, kPatterns - base);
+      std::fill(bits.begin(), bits.end(), 0);
       for (std::size_t v = 0; v < nv; ++v) {
-        std::uint64_t w = 0;
         for (std::size_t k = 0; k < m; ++k) {
-          w |= static_cast<std::uint64_t>(assignments[(base + k) * nv + v])
-               << k;
+          bits[W * v + k / 64] |=
+              static_cast<std::uint64_t>(assignments[(base + k) * nv + v])
+              << (k % 64);
         }
-        bits[v] = w;
       }
-      compiled.eval_packed(bits.data(), m, packed_out, scratch);
+      compiled.eval_packed_wide(bits.data(), m, packed_out, scratch);
       for (std::size_t k = 0; k < m; ++k) {
-        ASSERT_EQ(packed_out[k], out[base + k])
+        std::span<const std::uint8_t> a(assignments.data() + (base + k) * nv,
+                                        nv);
+        ASSERT_EQ(packed_out[k], f.eval(a))
             << "circuit " << c << " pattern " << base + k;
       }
     }

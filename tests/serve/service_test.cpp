@@ -109,9 +109,17 @@ TEST(ServiceModelId, ContentAddressingSeparatesShapingKnobs) {
   // ...resilience knobs do not (same clean model either way).
   BuildOptions resilience = base;
   resilience.degrade = !base.degrade;
-  resilience.build_retries = base.build_retries + 3;
   resilience.deadline_ms = 12345;
   EXPECT_EQ(id, model_id(c17, resilience));
+
+  // Ids are persisted (registry manifests, scripts holding `cfpm build`
+  // output), so they must never drift: these are the ids `cfpm build
+  // gen:c17` and `cfpm build gen:cm85 -m 500` print.
+  EXPECT_EQ(id.to_hex(), "e44ced9280f1ea8eba9ef07eb4d26367");
+  BuildOptions m500 = base;
+  m500.max_nodes = 500;
+  EXPECT_EQ(model_id(netlist::gen::mcnc_like("cm85"), m500).to_hex(),
+            "5bdd98c5dbd738055ea7637d96950c20");
 }
 
 TEST(ServiceBuild, RejectsWrongApiVersion) {

@@ -4,6 +4,7 @@
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -80,8 +81,6 @@ TEST(Wire, BuildRequestRoundTripsNetlistAndOptions) {
   request.options.reorder_passes = 7;
   request.options.approximate_during_construction = false;
   request.options.degrade = false;
-  request.options.build_threads = 4;
-  request.options.build_retries = 9;
   request.options.deadline_ms = 4321;
   request.options.characterization_vectors = 55;
   request.options.characterization_seed = 0xfeedface;
@@ -96,8 +95,6 @@ TEST(Wire, BuildRequestRoundTripsNetlistAndOptions) {
   EXPECT_EQ(back.options.approximate_during_construction,
             request.options.approximate_during_construction);
   EXPECT_EQ(back.options.degrade, request.options.degrade);
-  EXPECT_EQ(back.options.build_threads, request.options.build_threads);
-  EXPECT_EQ(back.options.build_retries, request.options.build_retries);
   EXPECT_EQ(back.options.deadline_ms, request.options.deadline_ms);
   EXPECT_EQ(back.options.characterization_vectors,
             request.options.characterization_vectors);
@@ -183,7 +180,6 @@ TEST(Wire, ChipRequestRoundTripsEveryField) {
   request.spec = "4x6x16";
   request.max_nodes = 123;
   request.degrade = false;
-  request.build_threads = 3;
   request.deadline_ms = 777;
   request.statistics = {0.1, 0.07};  // not exactly representable
   request.vectors = 4242;
@@ -195,7 +191,6 @@ TEST(Wire, ChipRequestRoundTripsEveryField) {
   EXPECT_EQ(back.spec, request.spec);
   EXPECT_EQ(back.max_nodes, request.max_nodes);
   EXPECT_EQ(back.degrade, request.degrade);
-  EXPECT_EQ(back.build_threads, request.build_threads);
   EXPECT_EQ(back.deadline_ms, request.deadline_ms);
   EXPECT_EQ(back.statistics.sp, request.statistics.sp);
   EXPECT_EQ(back.statistics.st, request.statistics.st);
@@ -285,6 +280,17 @@ TEST(Wire, MalformedPayloadsThrowParseError) {
   ASSERT_NE(pos, std::string::npos);
   encoded.replace(encoded.find(" 0 0 ", pos), 5, " 9 0 ");
   EXPECT_THROW(decode_chip_reply(encoded), ParseError);
+}
+
+TEST(Wire, WriteToClosedSocketPeerThrowsInsteadOfRaisingSigpipe) {
+  // A daemon that drops a connection right after accept leaves the client
+  // writing into a closed socket: that must be a typed IoError, not a
+  // SIGPIPE that kills the client process.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  EXPECT_THROW(write_frame(fds[0], MsgType::kPing, "version 1\n"), IoError);
+  ::close(fds[0]);
 }
 
 TEST(Wire, FdTransportRoundTripAndCleanEof) {

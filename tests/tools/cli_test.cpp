@@ -332,7 +332,7 @@ TEST(Cli, FuzzReplayOfACommittedRepro) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: --failpoints / --build-retries / fuzz --faults.
+// Fault injection: --failpoints / fuzz --faults.
 // ---------------------------------------------------------------------------
 
 TEST(Cli, MalformedFailpointSpecIsAUsageError) {
@@ -341,30 +341,6 @@ TEST(Cli, MalformedFailpointSpecIsAUsageError) {
   EXPECT_NE(r.output.find("invalid value for --failpoints"),
             std::string::npos);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
-}
-
-TEST(Cli, NonNumericBuildRetriesIsAUsageError) {
-  const auto r = run("build gen:c17 --build-retries abc");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--build-retries"), std::string::npos);
-  EXPECT_NE(r.output.find("'abc'"), std::string::npos);
-}
-
-TEST(Cli, InjectedConeFaultIsRetriedAndTheBuildSucceeds) {
-  // One transient allocation fault in a cone worker: the retry loop absorbs
-  // it and the build exits 0 with a usable model. (With CFPM_NO_FAILPOINTS
-  // the spec arms nothing — the build is simply clean, so the assertions
-  // below hold either way.)
-  const std::string model = ::testing::TempDir() + "/cli_faulted.cfpm";
-  const auto r = run(
-      "build gen:cm85 --build-threads 2 "
-      "--failpoints power.cone.build=throw_bad_alloc:1 -o " + model);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_EQ(r.output.find("DEGRADED"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("saved"), std::string::npos);
-  const auto est = run("estimate " + model + " --st 0.2 --vectors 500");
-  EXPECT_EQ(est.exit_code, 0) << est.output;
-  std::remove(model.c_str());
 }
 
 TEST(Cli, FuzzFaultsSmokeRecovers) {

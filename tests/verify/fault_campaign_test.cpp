@@ -78,7 +78,7 @@ TEST_F(FaultCampaign, ReproFaultsLineRoundTrips) {
   r.seed = 123;
   r.patterns = 16;
   r.netlist = netlist::gen::c17();
-  r.faults = "dd.allocate_node=throw_bad_alloc:2,power.cone.build=fail_io";
+  r.faults = "dd.allocate_node=throw_bad_alloc:2,dd.serialize.read=fail_io";
   std::stringstream ss;
   write_repro(ss, r);
   const Repro back = read_repro(ss);
