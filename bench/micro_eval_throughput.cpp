@@ -114,9 +114,8 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
   // an unsupported request silently re-measure a lower kernel, so skip
   // tiers the clamp rejects instead of emitting duplicate rows.
   const std::size_t first_wide = rep.results.size();
-  for (const dd::simd::Tier tier : {dd::simd::Tier::kScalar,
-                                    dd::simd::Tier::kAvx2,
-                                    dd::simd::Tier::kAvx512}) {
+  for (const dd::simd::Tier tier :
+       {dd::simd::Tier::kScalar, dd::simd::Tier::kAvx2}) {
     dd::simd::request_simd_tier(tier);
     if (dd::simd::active_simd_tier() != tier) continue;
     rep.results.push_back(
@@ -174,9 +173,8 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
     for (auto& w : wide_bits) w = next();
     std::vector<std::uint64_t> scratch;
     double values[64 * kW];
-    for (const dd::simd::Tier tier : {dd::simd::Tier::kScalar,
-                                      dd::simd::Tier::kAvx2,
-                                      dd::simd::Tier::kAvx512}) {
+    for (const dd::simd::Tier tier :
+         {dd::simd::Tier::kScalar, dd::simd::Tier::kAvx2}) {
       dd::simd::request_simd_tier(tier);
       if (dd::simd::active_simd_tier() != tier) continue;
       rep.results.push_back(measure(

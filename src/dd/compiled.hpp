@@ -77,8 +77,8 @@ class CompiledDd {
                         double* out, std::vector<std::uint64_t>& scratch) const;
 
   /// Number of 64-assignment groups eval_packed_wide accepts per call (the
-  /// fixed stride of the caller's `bits` layout). 8 matches one AVX-512
-  /// register per node row.
+  /// fixed stride of the caller's `bits` layout). 8 words are two AVX2
+  /// registers per node row.
   static constexpr std::size_t kPackedGroups = 8;
 
   /// Scratch budget for one sub-sweep (see sweep_groups()): sized so the

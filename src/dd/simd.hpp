@@ -8,11 +8,11 @@
 //
 //  * detect_simd_tier()  — what the CPU can do (cpuid, cached).
 //  * requested tier      — what the caller asked for: kAuto by default,
-//    overridden by the CFPM_SIMD environment variable (auto|scalar|avx2|
-//    avx512) or programmatically (CLI --simd).
+//    overridden by the CFPM_SIMD environment variable (auto|scalar|avx2)
+//    or programmatically (CLI --simd).
 //  * active_simd_tier()  — min(requested, detected): asking for a tier the
 //    CPU lacks silently degrades to the best supported one, so a pinned
-//    "avx512" config stays runnable on an AVX2 host.
+//    "avx2" config stays runnable on a pre-AVX2 host.
 //
 // Every kernel produces bit-identical results (the masks are exact and the
 // terminal gather copies doubles verbatim), so the tier is a pure
@@ -28,7 +28,6 @@ namespace cfpm::dd::simd {
 enum class Tier : int {
   kScalar = 0,  ///< plain uint64 loop (always available)
   kAvx2 = 1,    ///< 256-bit: 4 mask words per instruction
-  kAvx512 = 2,  ///< 512-bit: 8 mask words per instruction
 };
 
 /// Best tier this CPU supports (cpuid-derived, computed once).
@@ -44,7 +43,7 @@ Tier active_simd_tier() noexcept;
 void request_simd_tier(Tier tier) noexcept;
 void request_simd_auto() noexcept;
 
-/// Parses "auto", "scalar", "avx2" or "avx512" and applies it as the
+/// Parses "auto", "scalar" or "avx2" and applies it as the
 /// requested tier; false (state unchanged) on anything else.
 bool request_simd_tier(std::string_view name) noexcept;
 
@@ -53,7 +52,7 @@ bool request_simd_tier(std::string_view name) noexcept;
 /// tests can flip the override without a subprocess.
 void refresh_simd_tier_from_env() noexcept;
 
-/// "scalar", "avx2", "avx512" (never "auto": the active tier is resolved).
+/// "scalar" or "avx2" (never "auto": the active tier is resolved).
 std::string_view simd_tier_name(Tier tier) noexcept;
 
 }  // namespace cfpm::dd::simd

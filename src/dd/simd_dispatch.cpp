@@ -13,9 +13,6 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 Tier detect_once() noexcept {
   __builtin_cpu_init();
-  // avx512f covers every 512-bit integer op the sweep uses; the finer
-  // avx512 sub-features (bw/dq/vl) are not needed.
-  if (__builtin_cpu_supports("avx512f")) return Tier::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
   return Tier::kScalar;
 }
@@ -29,7 +26,6 @@ std::optional<int> parse_tier(std::string_view name) noexcept {
   if (name == "auto") return kAuto;
   if (name == "scalar") return static_cast<int>(Tier::kScalar);
   if (name == "avx2") return static_cast<int>(Tier::kAvx2);
-  if (name == "avx512") return static_cast<int>(Tier::kAvx512);
   return std::nullopt;
 }
 
@@ -86,14 +82,12 @@ std::string_view simd_tier_name(Tier tier) noexcept {
   switch (tier) {
     case Tier::kScalar: return "scalar";
     case Tier::kAvx2: return "avx2";
-    case Tier::kAvx512: return "avx512";
   }
   return "scalar";
 }
 
 SweepFn select_sweep(std::size_t W) noexcept {
   const Tier tier = active_simd_tier();
-  if (tier >= Tier::kAvx512 && W % 8 == 0) return &sweep_avx512;
   if (tier >= Tier::kAvx2 && W % 4 == 0) return &sweep_avx2;
   return &sweep_scalar;
 }

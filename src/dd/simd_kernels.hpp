@@ -51,11 +51,6 @@ void sweep_avx2(const SweepCtx& ctx, const std::uint64_t* bits,
                 std::size_t bits_stride, const std::uint64_t* all, double* out,
                 std::uint64_t* reach, std::size_t W);
 
-/// 512-bit AVX-512F kernel; requires W % 8 == 0 and an AVX-512 CPU.
-void sweep_avx512(const SweepCtx& ctx, const std::uint64_t* bits,
-                  std::size_t bits_stride, const std::uint64_t* all,
-                  double* out, std::uint64_t* reach, std::size_t W);
-
 /// Widest kernel the active tier supports whose width constraint divides W.
 SweepFn select_sweep(std::size_t W) noexcept;
 

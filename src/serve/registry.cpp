@@ -28,67 +28,48 @@ const metrics::Counter& c_miss() {
   return c;
 }
 
-}  // namespace
-
-Registry::~Registry() {
-  delete index_.load(std::memory_order_acquire);
-  // graveyard_ frees its snapshots via unique_ptr.
+std::string collision_message(const service::ModelId& requested,
+                              const service::ModelId& admitted) {
+  return "registry: content-hash collision on key " + requested.to_hex() +
+         " (admitted as " + admitted.to_hex() + ")";
 }
+
+}  // namespace
 
 std::shared_ptr<const power::PowerModel> Registry::lookup(
     const service::ModelId& id) const {
-  const Index* idx = index_.load(std::memory_order_acquire);
-  if (idx == nullptr || idx->slots.empty()) {
-    c_miss().add();
-    return nullptr;
+  std::shared_ptr<const power::PowerModel> model;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = by_key_.find(id.key);
+    if (it != by_key_.end()) {
+      const Entry& e = *it->second;
+      // Same 64-bit primary key, different content. Serving e.model would
+      // hand the requester a model of some other netlist; refuse loudly.
+      if (e.id.check != id.check) throw Error(collision_message(id, e.id));
+      model = e.model;
+    }
   }
-  const std::size_t slot = idx->mph.slot_of(id.key);
-  const Entry* e = idx->slots[slot];
-  if (e->id.key != id.key) {
-    c_miss().add();
-    return nullptr;
-  }
-  if (e->id.check != id.check) {
-    // Same 64-bit primary key, different content. Serving e->model would
-    // hand the requester a model of some other netlist; refuse loudly.
-    throw Error("registry: content-hash collision on key " + id.to_hex() +
-                " (admitted as " + e->id.to_hex() + ")");
-  }
-  c_hit().add();
-  return e->model;
+  (model ? c_hit() : c_miss()).add();
+  return model;
 }
 
 bool Registry::admit(Entry entry) {
   if (!entry.model) throw ContractError("Registry::admit: null model");
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.id.key != entry.id.key) continue;
-    if (e.id.check == entry.id.check) return false;  // already admitted
-    throw Error("registry: content-hash collision on key " +
-                entry.id.to_hex() + " (admitted as " + e.id.to_hex() + ")");
+  const auto [it, inserted] = by_key_.try_emplace(entry.id.key, nullptr);
+  if (!inserted) {
+    if (it->second->id.check == entry.id.check) return false;  // present
+    throw Error(collision_message(entry.id, it->second->id));
   }
-  entries_.push_back(std::move(entry));
-  publish_locked();
+  try {
+    entries_.push_back(std::move(entry));
+  } catch (...) {
+    by_key_.erase(it);
+    throw;
+  }
+  it->second = &entries_.back();
   return true;
-}
-
-void Registry::publish_locked() {
-  auto idx = std::make_unique<Index>();
-  std::vector<std::uint64_t> keys;
-  keys.reserve(entries_.size());
-  for (const Entry& e : entries_) keys.push_back(e.id.key);
-  idx->mph = Mph::build(keys);
-  idx->slots.resize(entries_.size());
-  for (const Entry& e : entries_) {
-    idx->slots[idx->mph.slot_of(e.id.key)] = &e;
-  }
-  const Index* old =
-      index_.exchange(idx.release(), std::memory_order_acq_rel);
-  if (old != nullptr) {
-    // A reader may still be walking the retired snapshot; keep it alive
-    // until the registry itself dies (see header).
-    graveyard_.emplace_back(old);
-  }
 }
 
 std::size_t Registry::size() const {
@@ -178,7 +159,10 @@ std::size_t Registry::load(const std::string& dir) {
     if (!(fields >> tag >> hex >> nodes) || tag != "model") {
       throw ParseError("registry manifest: bad entry line: " + line);
     }
-    fields >> circuit;  // optional trailing name
+    // The display name is the rest of the line after one separator: names
+    // may contain spaces (read_bench_file takes the file stem).
+    if (fields.peek() == ' ') fields.get();
+    std::getline(fields, circuit);
     const auto id = service::ModelId::from_hex(hex);
     if (!id) throw ParseError("registry manifest: bad model id: " + hex);
 

@@ -1,25 +1,12 @@
 // Content-addressed registry of compiled power models — the daemon's cache.
 //
-// The registry is a read-mostly shared structure: the query path looks a
-// ModelId up millions of times; admission (first build of a unique
-// netlist+options) is rare. The split follows that shape:
+// One mutex guards a std::deque of entries (admission order, stable
+// addresses) and a std::unordered_map from primary key to entry. A lookup
+// is one hash probe plus one shared_ptr copy under the lock; admission is
+// one probe plus one insert. A served request costs about 0.1 ms, so the
+// lock is not where its time goes.
 //
-//  * Lookups are lock-free. The index — a minimal perfect hash over the
-//    admitted primary keys plus a slot-indexed entry table — is an
-//    immutable snapshot published through one std::atomic pointer; a reader
-//    does an acquire load, two MPH array reads, and a key compare. No
-//    mutex, no reference counting, no retries.
-//  * Admission takes a mutex, appends the entry to a std::deque (stable
-//    addresses; readers of the old snapshot are never invalidated), rebuilds
-//    the MPH index offline, and publishes the new snapshot with a release
-//    store. Retired snapshots go to a graveyard freed only when the
-//    registry dies: admissions are rare and an index is a few words per
-//    model, so leaking superseded snapshots until shutdown is cheaper and
-//    simpler than hazard pointers or epochs. (A registry serving millions
-//    of queries admits what fits in memory anyway — thousands of models —
-//    so the graveyard stays kilobytes.)
-//
-// Collision safety: the 64-bit primary key indexes the MPH; the independent
+// Collision safety: the 64-bit primary key indexes the map; the independent
 // 64-bit check hash is compared on every hit. Two distinct contents
 // colliding on the primary key is detected (typed error) instead of
 // silently serving the wrong macro's model; matching on both halves by
@@ -33,16 +20,16 @@
 // boot.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "power/power_model.hpp"
-#include "serve/mph.hpp"
 #include "serve/service.hpp"
 
 namespace cfpm::serve {
@@ -57,19 +44,18 @@ class Registry {
   };
 
   Registry() = default;
-  ~Registry();
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Lock-free: the model admitted under `id`, or nullptr when absent.
+  /// The model admitted under `id`, or nullptr when absent.
   /// Throws cfpm::Error when the primary key is admitted but the check
   /// hash differs (64-bit content-hash collision — serving would return
   /// the wrong model). Counts `registry.lookup.hit` / `registry.lookup.miss`.
   std::shared_ptr<const power::PowerModel> lookup(
       const service::ModelId& id) const;
 
-  /// Admits a model and republishes the index. Idempotent: re-admitting an
+  /// Admits a model. Idempotent: re-admitting an
   /// id already present returns false and changes nothing. Throws
   /// cfpm::Error on a primary-key collision (same key, different check) and
   /// cfpm::ContractError on a null model.
@@ -96,18 +82,9 @@ class Registry {
   std::size_t load(const std::string& dir);
 
  private:
-  struct Index {
-    Mph mph;
-    std::vector<const Entry*> slots;  // slot-indexed, same order as mph
-  };
-
-  /// Rebuilds and publishes the index from entries_. Caller holds mutex_.
-  void publish_locked();
-
-  mutable std::mutex mutex_;                   // admission path only
-  std::deque<Entry> entries_;                  // stable addresses
-  std::atomic<const Index*> index_{nullptr};   // lock-free read path
-  std::vector<std::unique_ptr<const Index>> graveyard_;  // retired snapshots
+  mutable std::mutex mutex_;
+  std::deque<Entry> entries_;  // admission order, stable addresses
+  std::unordered_map<std::uint64_t, const Entry*> by_key_;  // id.key -> entry
 };
 
 }  // namespace cfpm::serve

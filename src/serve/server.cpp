@@ -294,10 +294,9 @@ service::BuildReply Server::build_model(service::BuildRequest request) {
   const service::ModelId id = service::model_id(request.netlist,
                                                 request.options);
 
-  // Fast path: lock-free registry probe. A hit performs zero construction
-  // work — that is the asserted contract (`serve.cache.hit` rises,
-  // `serve.build.count` does not).
-  if (auto model = registry_.lookup(id)) {
+  // A cache hit performs zero construction work — that is the asserted
+  // contract (`serve.cache.hit` rises, `serve.build.count` does not).
+  const auto hit_reply = [&](std::shared_ptr<const power::PowerModel> model) {
     c_cache_hit().add();
     service::BuildReply reply;
     reply.id = id;
@@ -308,7 +307,8 @@ service::BuildReply Server::build_model(service::BuildRequest request) {
     }
     reply.model = std::move(model);
     return reply;
-  }
+  };
+  if (auto model = registry_.lookup(id)) return hit_reply(std::move(model));
   c_cache_miss().add();
 
   // Miss: join or create the deduplicated build job for this id, so N
@@ -323,22 +323,13 @@ service::BuildReply Server::build_model(service::BuildRequest request) {
     creator = inserted;
     if (creator) {
       // The build may have completed — admission, then job erasure —
-      // between our lock-free registry miss and taking jobs_mutex_.
-      // Admission strictly precedes erasure, so a second probe under the
-      // lock is authoritative: a hit here means a duplicate construction
-      // was about to start.
+      // between our registry miss and taking jobs_mutex_ (the registry's
+      // own lock is not held across the two). Admission strictly precedes
+      // erasure, so a second probe under jobs_mutex_ is authoritative: a
+      // hit here means a duplicate construction was about to start.
       if (auto model = registry_.lookup(id)) {
         jobs_.erase(id.key);
-        c_cache_hit().add();
-        service::BuildReply reply;
-        reply.id = id;
-        reply.cache_hit = true;
-        if (const auto* add =
-                dynamic_cast<const power::AddPowerModel*>(model.get())) {
-          reply.model_nodes = add->size();
-        }
-        reply.model = std::move(model);
-        return reply;
+        return hit_reply(std::move(model));
       }
     }
   }

@@ -28,7 +28,8 @@
 // Threading: one thread per connection (requests on a connection are
 // processed in order; concurrency comes from concurrent connections), a
 // shared eval pool for trace sharding, and a build pool fed through
-// ThreadPool::post. Registry lookups on the query path are lock-free.
+// ThreadPool::post. A registry lookup on the query path holds the
+// registry mutex for one hash probe.
 //
 // Shutdown: request_shutdown() is async-signal-safe (an atomic flag plus
 // shutdown(2) on the listening socket to wake accept). The drain sequence

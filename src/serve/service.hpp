@@ -111,7 +111,7 @@ constexpr int exit_code(StatusCode code) noexcept {
 // ---------------------------------------------------------------------------
 
 /// 128-bit content address of a compiled model: `key` indexes the
-/// registry's minimal-perfect-hash table, `check` is an independent hash
+/// registry's hash map, `check` is an independent hash
 /// verified on every hit so a 64-bit key collision is rejected (typed
 /// error) instead of silently serving the wrong macro's model.
 struct ModelId {

@@ -117,7 +117,7 @@ int usage() {
       "macros share bus bits. --shards N shards the streaming evaluator\n"
       "(0 = all hardware threads; bit-identical for any N); --trace FILE\n"
       "evaluates a text bit-matrix trace instead of the seeded workload.\n"
-      "--simd auto|scalar|avx2|avx512 caps the evaluation kernel tier\n"
+      "--simd auto|scalar|avx2 caps the evaluation kernel tier\n"
       "(default auto = best the CPU supports; the CFPM_SIMD environment\n"
       "variable sets the same cap). All tiers are bit-identical.\n"
       "--compiled prints compiled-evaluator diagnostics and throughput.\n"
@@ -355,7 +355,7 @@ std::optional<Args> parse(int argc, char** argv) {
       ok = text(name) && [&] {
         if (dd::simd::request_simd_tier(name)) return true;
         std::cerr << "invalid value for --simd: '" << name
-                  << "' (expect auto|scalar|avx2|avx512)\n";
+                  << "' (expect auto|scalar|avx2)\n";
         return false;
       }();
     } else if (flag == "--compiled") {

@@ -1,13 +1,14 @@
-// Registry contracts: lock-free lookups stay correct while admissions
-// republish the index, collisions are rejected instead of served, and the
-// persisted snapshot warm-starts bit-identically — or not at all when
-// corrupt. The concurrency tests run under TSan in CI (suite name matches
-// the tsan job's -R filter).
+// Registry contracts: lookups stay correct while admissions run, every
+// admitted id resolves to its own model whatever the key shape, collisions
+// are rejected instead of served, and the persisted snapshot warm-starts
+// bit-identically — or not at all when corrupt. The concurrency tests run
+// under TSan in CI (suite name matches the tsan job's -R filter).
 #include "serve/registry.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "power/baselines.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace cfpm::serve {
 namespace {
@@ -57,6 +59,40 @@ TEST(Registry, AdmitThenLookup) {
   ASSERT_NE(m1, nullptr);
   EXPECT_EQ(m1->estimate_ff({}, {}), 10.0);
   EXPECT_EQ(registry.lookup({3, 4}), nullptr);
+
+  // Key shapes that stress a hash index more than uniform random keys do:
+  // sequential ids, high-bit-only ids, then 1000 random ones.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 0; i < 200; ++i) keys.push_back(i);
+  for (std::uint64_t i = 0; i < 100; ++i) keys.push_back((i + 1) << 56);
+  SplitMix64 rng(0x1234);
+  while (keys.size() < 1300) {
+    const std::uint64_t k = rng.next();
+    if (std::find(keys.begin(), keys.end(), k) == keys.end()) keys.push_back(k);
+  }
+  Registry shaped;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(shaped.admit(entry_of(keys[i], static_cast<double>(i))));
+  }
+  ASSERT_EQ(shaped.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto m = shaped.lookup(entry_of(keys[i], 0).id);
+    ASSERT_NE(m, nullptr) << "key " << keys[i];
+    EXPECT_EQ(m->estimate_ff({}, {}), static_cast<double>(i));
+  }
+  SplitMix64 outsiders(0x888);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t k = outsiders.next();
+    if (std::find(keys.begin(), keys.end(), k) != keys.end()) continue;
+    EXPECT_EQ(shaped.lookup(entry_of(k, 0).id), nullptr);
+  }
+  EXPECT_EQ(shaped.lookup(entry_of(200, 0).id), nullptr);
+  EXPECT_EQ(shaped.lookup(entry_of(101ull << 56, 0).id), nullptr);
+  const std::vector<Registry::Entry> listed = shaped.entries();
+  ASSERT_EQ(listed.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(listed[i].id.key, keys[i]) << "admission order at " << i;
+  }
 }
 
 TEST(Registry, ReadmissionIsIdempotent) {
@@ -164,6 +200,13 @@ TEST(RegistryPersistence, WarmRestartRoundTrip) {
   request.options.max_nodes = 0;
   const service::BuildReply built = service::build(request);
 
+  // A second model whose display name holds spaces (read_bench_file names a
+  // model after its file stem, e.g. "my design"): the manifest must give
+  // the whole name back, not its first word.
+  request.options.max_nodes = 8;
+  const service::BuildReply spaced = service::build(request);
+  ASSERT_NE(spaced.id, built.id);
+
   Registry registry;
   Registry::Entry e;
   e.id = built.id;
@@ -171,12 +214,23 @@ TEST(RegistryPersistence, WarmRestartRoundTrip) {
   e.circuit = "c17";
   e.nodes = built.model_nodes;
   ASSERT_TRUE(registry.admit(std::move(e)));
+  Registry::Entry s;
+  s.id = spaced.id;
+  s.model = spaced.model;
+  s.circuit = "my design  v2";
+  s.nodes = spaced.model_nodes;
+  ASSERT_TRUE(registry.admit(std::move(s)));
   registry.save(dir);
 
   Registry reloaded;
-  EXPECT_EQ(reloaded.load(dir), 1u);
+  EXPECT_EQ(reloaded.load(dir), 2u);
   const auto model = reloaded.lookup(built.id);
   ASSERT_NE(model, nullptr);
+  const std::vector<Registry::Entry> listed = reloaded.entries();
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0].circuit, "c17");
+  EXPECT_EQ(listed[1].circuit, "my design  v2");
+  EXPECT_EQ(listed[1].nodes, spaced.model_nodes);
 
   service::EvalRequest eval;
   eval.vectors = 300;
