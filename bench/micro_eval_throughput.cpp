@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "dd/simd.hpp"
 #include "eval/table.hpp"
 #include "power/power_model.hpp"
 #include "support/io.hpp"
@@ -110,19 +109,9 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
     return est;
   }));
 
-  // One row per SIMD tier the CPU supports; the dispatch clamp would make
-  // an unsupported request silently re-measure a lower kernel, so skip
-  // tiers the clamp rejects instead of emitting duplicate rows.
   const std::size_t first_wide = rep.results.size();
-  for (const dd::simd::Tier tier :
-       {dd::simd::Tier::kScalar, dd::simd::Tier::kAvx2}) {
-    dd::simd::request_simd_tier(tier);
-    if (dd::simd::active_simd_tier() != tier) continue;
-    rep.results.push_back(
-        measure(std::string("wide-") + std::string(dd::simd::simd_tier_name(tier)),
-                1, transitions, [&] { return model.estimate_trace(seq); }));
-  }
-  dd::simd::request_simd_auto();
+  rep.results.push_back(measure("wide", 1, transitions,
+                                [&] { return model.estimate_trace(seq); }));
 
   for (std::size_t threads : {2u, 4u, 8u}) {
     ThreadPool pool(threads);
@@ -131,15 +120,15 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
                 [&] { return model.estimate_trace(seq, &pool); }));
   }
 
-  // Correctness gates: neither the SIMD tier nor the thread count may
-  // change a single bit, and the batch paths must agree with the scalar
-  // walk (looser: different accumulation association).
+  // Correctness gates: the thread count may not change a single bit, and
+  // the batch paths must agree with the scalar walk (looser: different
+  // accumulation association).
   const Result& compiled = rep.results[first_wide];
   for (std::size_t i = first_wide + 1; i < rep.results.size(); ++i) {
     if (rep.results[i].average_ff != compiled.average_ff ||
         rep.results[i].peak_ff != compiled.peak_ff) {
-      std::cerr << "FATAL: SIMD tier or thread count changed the result on "
-                << circuit << "\n";
+      std::cerr << "FATAL: thread count changed the result on " << circuit
+                << "\n";
       std::exit(1);
     }
   }
@@ -154,11 +143,10 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
     }
   }
 
-  // Raw kernel rows (appended after the correctness gates -- they evaluate
+  // Raw kernel row (appended after the correctness gates -- it evaluates
   // random pre-transposed bits, not the trace): the end-to-end rows above
-  // fold in the per-transition window64 gather and accumulation, which is
-  // identical across engines and dominates small diagrams, so the sweep
-  // speedup the SIMD tiers deliver is only visible kernel-to-kernel.
+  // fold in the per-transition window64 gather and accumulation, which
+  // dominates small diagrams, so the sweep's own cost is only visible here.
   {
     const dd::CompiledDd& compiled_dd = model.compiled();
     constexpr std::size_t kW = dd::CompiledDd::kPackedGroups;
@@ -173,24 +161,16 @@ CircuitReport run_circuit(const std::string& circuit, std::size_t max_nodes,
     for (auto& w : wide_bits) w = next();
     std::vector<std::uint64_t> scratch;
     double values[64 * kW];
-    for (const dd::simd::Tier tier :
-         {dd::simd::Tier::kScalar, dd::simd::Tier::kAvx2}) {
-      dd::simd::request_simd_tier(tier);
-      if (dd::simd::active_simd_tier() != tier) continue;
-      rep.results.push_back(measure(
-          std::string("kernel-") + std::string(dd::simd::simd_tier_name(tier)),
-          1, transitions, [&] {
-            power::TraceEstimate est;
-            est.transitions = transitions;
-            for (std::size_t base = 0; base < transitions; base += 64 * kW) {
-              compiled_dd.eval_packed_wide(wide_bits.data(), 64 * kW, values,
-                                           scratch);
-            }
-            est.total_ff = values[0];
-            return est;
-          }));
-    }
-    dd::simd::request_simd_auto();
+    rep.results.push_back(measure("kernel", 1, transitions, [&] {
+      power::TraceEstimate est;
+      est.transitions = transitions;
+      for (std::size_t base = 0; base < transitions; base += 64 * kW) {
+        compiled_dd.eval_packed_wide(wide_bits.data(), 64 * kW, values,
+                                     scratch);
+      }
+      est.total_ff = values[0];
+      return est;
+    }));
   }
   return rep;
 }

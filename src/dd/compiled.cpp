@@ -6,11 +6,82 @@
 #include <unordered_set>
 
 #include "dd/dd_internal.hpp"
-#include "dd/simd_kernels.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 
 namespace cfpm::dd {
+
+namespace {
+
+// Scatters the reach rows of the terminal sinks into out[64 * w + k].
+// Terminals are few, so the cost is dominated by the sweep.
+void gather_terminals(const std::uint64_t* reach, const double* values,
+                      std::uint32_t first_terminal, std::size_t num_nodes,
+                      double* out, std::size_t W) {
+  for (std::size_t i = first_terminal; i < num_nodes; ++i) {
+    const std::uint64_t* const m = reach + W * i;
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < W; ++w) any |= m[w];
+    if (any == 0) continue;
+    const double v = values[i - first_terminal];
+    for (std::size_t w = 0; w < W; ++w) {
+      std::uint64_t mm = m[w];
+      while (mm != 0) {
+        out[64 * w + static_cast<std::size_t>(std::countr_zero(mm))] = v;
+        mm &= mm - 1;
+      }
+    }
+  }
+}
+
+// Pushes parent row m through one node: the lanes of m whose input bit bv
+// is set go to child row hi, the rest to child row lo. A keep mask of 0
+// (first incoming edge) overwrites the child row, all-ones ORs into it.
+// The rows never alias (see sweep()); __restrict on the parameters, not
+// on locals, is what lets the compiler vectorize without an overlap test.
+inline void push_row(const std::uint64_t* __restrict m,
+                     const std::uint64_t* __restrict bv,
+                     std::uint64_t* __restrict hi, std::uint64_t* __restrict lo,
+                     std::uint64_t keep_hi, std::uint64_t keep_lo,
+                     std::size_t W) {
+  for (std::size_t w = 0; w < W; ++w) {
+    const std::uint64_t mw = m[w];
+    const std::uint64_t bw = bv[w];
+    hi[w] = (hi[w] & keep_hi) | (mw & bw);
+    lo[w] = (lo[w] & keep_lo) | (mw & ~bw);
+  }
+}
+
+// One packed sweep of W 64-assignment groups: seed the root's reach row
+// with the valid-lane masks `all`, then push every internal node's row to
+// its children's rows in level order. `bits[bits_stride * var + w]` holds
+// group w's packed values of `var`.
+//
+// Children always sit at strictly higher indices, so row i is final when
+// the sweep arrives at i and the child stores never touch it; canonical
+// make_node guarantees hi != lo for internal nodes, so the two child rows
+// are distinct as well, and `bits` is a separate array. Every node is
+// updated unconditionally (no skip of unreached rows): reach masks are
+// unpredictable, and data-dependent skips would mispredict far more than
+// the saved ORs are worth. First-edge stores reinitialize every child, so
+// stale masks from the previous batch never survive and `reach` is never
+// cleared.
+void sweep(const CompiledDd::Node* nodes, std::uint32_t root,
+           std::uint32_t first_terminal, const std::uint64_t* bits,
+           std::size_t bits_stride, const std::uint64_t* all,
+           std::uint64_t* reach, std::size_t W) {
+  for (std::size_t w = 0; w < W; ++w) reach[W * root + w] = all[w];
+  for (std::uint32_t i = 0; i < first_terminal; ++i) {
+    const CompiledDd::Node& n = nodes[i];
+    push_row(reach + W * i, bits + bits_stride * n.var,
+             reach + W * (n.hi & CompiledDd::kIndexMask),
+             reach + W * (n.lo & CompiledDd::kIndexMask),
+             static_cast<std::uint64_t>(n.hi >> 31) - 1,
+             static_cast<std::uint64_t>(n.lo >> 31) - 1, W);
+  }
+}
+
+}  // namespace
 
 CompiledDd CompiledDd::compile(const Add& f) {
   CFPM_REQUIRE(!f.is_null());
@@ -147,27 +218,22 @@ void CompiledDd::eval_packed_wide(const std::uint64_t* bits, std::size_t count,
   if (scratch.size() < block * nodes_.size()) {
     scratch.assign(block * nodes_.size(), 0);
   }
-  const simd::SweepCtx ctx{nodes_.data(), values_.data(), first_terminal_,
-                           static_cast<std::uint32_t>(nodes_.size()), root_};
   const std::size_t groups = (count + 63) / 64;
   // Sub-sweep `block` groups at a time so the reach scratch of one sweep
-  // stays within kSweepScratchBudget. A partial tail block is padded up to
-  // a power of two with zero valid-lane masks (`bits` always has full
-  // kPackedGroups stride, so the padded loads stay in bounds) — that keeps
-  // the wide kernels eligible instead of falling back to scalar on odd
-  // tails; zero root masks propagate zeros and write nothing.
+  // stays within kSweepScratchBudget; the tail block sweeps only its live
+  // groups.
   for (std::size_t g = 0; g < groups; g += block) {
     const std::size_t live = std::min(block, groups - g);
-    const std::size_t width = std::bit_ceil(live);
     std::uint64_t all[W];
-    for (std::size_t w = 0; w < width; ++w) {
+    for (std::size_t w = 0; w < live; ++w) {
       const std::size_t base = 64 * (g + w);
       all[w] = count >= base + 64 ? ~std::uint64_t{0}
-               : count > base     ? (std::uint64_t{1} << (count - base)) - 1
-                                  : 0;
+                                  : (std::uint64_t{1} << (count - base)) - 1;
     }
-    simd::select_sweep(width)(ctx, bits + g, W, all, out + 64 * g,
-                              scratch.data(), width);
+    sweep(nodes_.data(), root_, first_terminal_, bits + g, W, all,
+          scratch.data(), live);
+    gather_terminals(scratch.data(), values_.data(), first_terminal_,
+                     nodes_.size(), out + 64 * g, live);
   }
 }
 

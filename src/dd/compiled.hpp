@@ -68,17 +68,16 @@ class CompiledDd {
   /// topologically sorted, a single forward pass propagates reach masks
   /// (which assignments' paths visit each node) from the root to the sinks,
   /// so the cost scales with num_nodes() per 64 assignments instead of
-  /// depth() per assignment. Internally the groups are processed
-  /// sweep_groups() at a time through the widest SIMD kernel the active
-  /// dispatch tier supports (dd/simd.hpp); every tier is bit-identical.
+  /// depth() per assignment. Internally the groups are swept
+  /// sweep_groups() at a time by one portable 64-bit kernel.
   /// `scratch` is caller-owned mask storage, reused across calls so hot
   /// loops stay allocation-free.
   void eval_packed_wide(const std::uint64_t* bits, std::size_t count,
                         double* out, std::vector<std::uint64_t>& scratch) const;
 
   /// Number of 64-assignment groups eval_packed_wide accepts per call (the
-  /// fixed stride of the caller's `bits` layout). 8 words are two AVX2
-  /// registers per node row.
+  /// fixed stride of the caller's `bits` layout): a full-width sweep moves
+  /// 8 mask words (64 bytes) per node row.
   static constexpr std::size_t kPackedGroups = 8;
 
   /// Scratch budget for one sub-sweep (see sweep_groups()): sized so the
@@ -102,7 +101,7 @@ class CompiledDd {
   std::uint32_t min_assignment_size() const noexcept { return num_vars_needed_; }
   std::span<const double> values() const noexcept { return values_; }
 
-  /// Read-only view of the flattened records (layout tests, kernels).
+  /// Read-only view of the flattened records (layout tests).
   std::span<const Node> nodes() const noexcept { return nodes_; }
   std::uint32_t root() const noexcept { return root_; }
   /// Level boundaries of the breadth-first-packed layout: the nodes of

@@ -382,7 +382,7 @@ TraceEstimate AddPowerModel::estimate_trace(const sim::InputSequence& seq,
         // initial state of input k is bit t of stream k and its final
         // state is bit t+1 — so the whole gather is two window64 reads
         // per input per 64 transitions. Blocks of kPackedGroups groups are
-        // fed to the SIMD-dispatched wide sweep; per-value results and the
+        // fed to the packed wide sweep; per-value results and the
         // t-ascending accumulation below are bit-identical to the
         // one-group path (kTraceChunk is a multiple of 64*kPackedGroups,
         // so chunk boundaries never split a wide block unevenly between

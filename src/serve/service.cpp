@@ -206,6 +206,19 @@ BuildReply build(const BuildRequest& request) {
 // Evaluate
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Two vectors make the first transition; with fewer there is nothing to
+/// average, so the request is malformed rather than the model at fault.
+void check_vectors(std::size_t vectors) {
+  if (vectors < 2) {
+    throw UsageError("vectors must be at least 2, got " +
+                     std::to_string(vectors));
+  }
+}
+
+}  // namespace
+
 EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                    ThreadPool* pool) {
   if (request.api_version != kApiVersion) {
@@ -213,6 +226,7 @@ EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                      std::to_string(request.api_version) + " (expected " +
                      std::to_string(kApiVersion) + ")");
   }
+  check_vectors(request.vectors);
   if (!stats::feasible(request.statistics)) {
     // Deliberately cfpm::Error, not UsageError: this is the message (and
     // exit code 1) the one-shot CLI has always produced for an infeasible
@@ -327,6 +341,7 @@ ChipReply evaluate_chip(const ChipRequest& request,
                         const cfpm::chip::ModelSource& source,
                         ThreadPool* pool) {
   check_chip_version(request.api_version);
+  check_vectors(request.vectors);
   if (!stats::feasible(request.statistics)) {
     // Same exception type and message as evaluate(): scripts key on it.
     throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");

@@ -16,7 +16,7 @@
 //
 // Activation surfaces:
 //  * env:  CFPM_FAILPOINTS="name=action[:count],name2=action2" — parsed once
-//          at process start (static initializer, like CFPM_SIMD); malformed
+//          at process start (static initializer); malformed
 //          specs warn on stderr and are ignored, so a bad env var can never
 //          abort an unrelated binary.
 //  * CLI:  `cfpm ... --failpoints <spec>` — same grammar, but a malformed

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "dd/simd.hpp"
 #include "eval/experiment.hpp"
 #include "eval/table.hpp"
 #include "netlist/bench_io.hpp"
@@ -83,7 +82,7 @@ int usage() {
       "  cfpm build <circuit> [-m MAX] [--bound] [-o model.cfpm]\n"
       "             [--deadline-ms N] [--no-degrade]\n"
       "  cfpm estimate <model.cfpm> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
-      "                [--threads N] [--compiled] [--simd T]\n"
+      "                [--threads N] [--compiled]\n"
       "  cfpm worst <model.cfpm>\n"
       "  cfpm accuracy <circuit> [-m MAX] [--vectors N] [--deadline-ms N]\n"
       "  cfpm trace <circuit> -o out.vcd [--sp P] [--st P] [--vectors N]\n"
@@ -117,9 +116,6 @@ int usage() {
       "macros share bus bits. --shards N shards the streaming evaluator\n"
       "(0 = all hardware threads; bit-identical for any N); --trace FILE\n"
       "evaluates a text bit-matrix trace instead of the seeded workload.\n"
-      "--simd auto|scalar|avx2 caps the evaluation kernel tier\n"
-      "(default auto = best the CPU supports; the CFPM_SIMD environment\n"
-      "variable sets the same cap). All tiers are bit-identical.\n"
       "--compiled prints compiled-evaluator diagnostics and throughput.\n"
       "--deadline-ms N bounds model construction by wall clock; on expiry\n"
       "the build degrades (harder approximation, then a constant bound)\n"
@@ -336,7 +332,14 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--st") {
       ok = probability(a.st);
     } else if (flag == "--vectors") {
-      ok = number(a.vectors);
+      // Two vectors make the first transition; fewer leave nothing to
+      // average.
+      ok = number(a.vectors) && [&] {
+        if (a.vectors >= 2) return true;
+        std::cerr << "value of --vectors must be at least 2, got " << a.vectors
+                  << "\n";
+        return false;
+      }();
     } else if (flag == "--vdd") {
       ok = number(a.vdd) && [&] {
         if (a.vdd > 0.0 && a.vdd < 1e3) return true;
@@ -348,16 +351,6 @@ std::optional<Args> parse(int argc, char** argv) {
       ok = number(a.threads);
     } else if (flag == "--build-threads") {
       ok = number(a.build_pool_threads);
-    } else if (flag == "--simd") {
-      // Applied immediately: the tier cap is process-global state, and
-      // request_simd_tier doubles as the validator.
-      std::string name;
-      ok = text(name) && [&] {
-        if (dd::simd::request_simd_tier(name)) return true;
-        std::cerr << "invalid value for --simd: '" << name
-                  << "' (expect auto|scalar|avx2)\n";
-        return false;
-      }();
     } else if (flag == "--compiled") {
       ok = boolean(a.compiled, true);
     } else if (flag == "--deadline-ms") {

@@ -20,7 +20,6 @@
 #include "dd/compiled.hpp"
 #include "dd/manager.hpp"
 #include "dd/serialize.hpp"
-#include "dd/simd.hpp"
 #include "netlist/library.hpp"
 #include "power/add_model.hpp"
 #include "power/factory.hpp"
@@ -187,8 +186,12 @@ CheckResult check_compiled_vs_interp(const Netlist& n,
 
   const std::size_t nvars = 2 * n.num_inputs();
   constexpr std::size_t kWide = 64 * dd::CompiledDd::kPackedGroups;
+  // Whole blocks, then a final block with a random partial count, so the
+  // sweep's tail handling (partial groups, a short last cache block) is
+  // checked on every run.
   const std::size_t count = ((std::max<std::size_t>(ctx.patterns, kWide) +
-                              kWide - 1) / kWide) * kWide;
+                              kWide - 1) / kWide) * kWide +
+                            1 + rng.next_below(kWide - 1);
   std::vector<std::uint8_t> assignments(count * nvars);
   fill_random_bits(rng, assignments);
   std::vector<double> ref(count), ref2(count);
@@ -495,71 +498,7 @@ CheckResult check_trace_threads(const Netlist& n, const CheckContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// (f) SIMD dispatch: every kernel tier is bit-identical on eval_packed_wide.
-// ---------------------------------------------------------------------------
-
-/// Restores the process-global requested tier (to auto) on every exit path.
-struct SimdTierGuard {
-  ~SimdTierGuard() { dd::simd::request_simd_auto(); }
-};
-
-CheckResult check_simd_dispatch(const Netlist& n, const CheckContext& ctx) {
-  Xoshiro256 rng = check_rng(ctx.seed, 0xb808u);
-  const std::size_t max_nodes =
-      rng.next_bool(0.5) ? 0 : 16 + rng.next_below(256);
-  const dd::ApproxMode mode = rng.next_bool(0.5) ? dd::ApproxMode::kAverage
-                                                 : dd::ApproxMode::kUpperBound;
-  const auto model = build_add(n, sampled_options(rng, max_nodes, mode, ctx));
-  const dd::CompiledDd& c = model->compiled();
-  const dd::Add& f = model->function();
-  const std::size_t nvars = 2 * n.num_inputs();
-
-  constexpr std::size_t kGroups = dd::CompiledDd::kPackedGroups;
-  constexpr std::size_t kWide = 64 * kGroups;
-  std::vector<std::uint64_t> bits(kGroups * nvars);
-  for (auto& w : bits) w = rng.next();
-
-  // A full block and a partial one: the partial tail exercises the
-  // power-of-two padding of the cache-blocked sub-sweeps.
-  const std::size_t counts[] = {kWide, 1 + rng.next_below(kWide - 1)};
-  const SimdTierGuard guard;
-  std::vector<std::uint8_t> a(nvars);
-  for (const std::size_t count : counts) {
-    // Reference: the interpreted Add on each lane's unpacked assignment.
-    std::vector<double> want(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      for (std::size_t v = 0; v < nvars; ++v) {
-        a[v] = static_cast<std::uint8_t>(
-            (bits[kGroups * v + k / 64] >> (k % 64)) & 1);
-      }
-      want[k] = f.eval(a);
-    }
-    for (const dd::simd::Tier tier :
-         {dd::simd::Tier::kScalar, dd::simd::Tier::kAvx2}) {
-      dd::simd::request_simd_tier(tier);
-      // Tiers above the CPU clamp down, so every row of this loop runs on
-      // every machine; on an AVX2 host both kernels execute.
-      const dd::simd::Tier active = dd::simd::active_simd_tier();
-      std::vector<std::uint64_t> scratch;
-      std::vector<double> out(count);
-      c.eval_packed_wide(bits.data(), count, out.data(), scratch);
-      for (std::size_t k = 0; k < count; ++k) {
-        if (out[k] != want[k]) {
-          return fail(
-              std::string("eval_packed_wide on tier '") +
-              std::string(dd::simd::simd_tier_name(active)) +
-              "' diverges from Add::eval: got " + format_double(out[k]) +
-              " want " + format_double(want[k]) + " at lane " +
-              std::to_string(k) + " of " + std::to_string(count));
-        }
-      }
-    }
-  }
-  return pass();
-}
-
-// ---------------------------------------------------------------------------
-// (g) Daemon round-trip: cfpmd replies are bit-identical to the in-process
+// (f) Daemon round-trip: cfpmd replies are bit-identical to the in-process
 //     service facade, and the registry persisted on shutdown serves the
 //     same bits after a warm restart.
 // ---------------------------------------------------------------------------
@@ -746,7 +685,8 @@ constexpr Check kChecks[] = {
      check_model_vs_sim},
     {"compiled-vs-interp",
      "compiled eval/eval_packed_wide match interpreted Add::eval "
-     "bit-for-bit, including scratch reuse across diagrams",
+     "bit-for-bit, including a partial final block and scratch reuse "
+     "across diagrams",
      check_compiled_vs_interp},
     {"collapse-avg",
      "avg-collapse and average-mode leaf quantization preserve the uniform "
@@ -768,10 +708,6 @@ constexpr Check kChecks[] = {
      "estimate_trace is bit-identical to the scalar loop and across thread "
      "counts",
      check_trace_threads},
-    {"simd-dispatch",
-     "eval_packed_wide is bit-identical to Add::eval on every SIMD tier "
-     "(scalar/AVX2), including power-of-two-padded tails",
-     check_simd_dispatch},
     {"serve-roundtrip",
      "cfpmd build/eval/trace replies over the wire are bit-identical to the "
      "in-process service facade, and the registry persisted on shutdown "

@@ -86,6 +86,52 @@ TEST(CompiledEval, MatchesNodeWalkOnRandomNetlistAdds) {
   }
 }
 
+// A diagram too large for one full-width sweep is swept sweep_groups()
+// groups at a time; the last block of a call then holds fewer live groups
+// than the block width. Exact pcle compiles to ~5.6k nodes, so blocks are
+// 4 groups wide, and 7 groups leave a tail block of 3 (the last of them
+// partially filled).
+TEST(CompiledEval, BlockedSweepWithRaggedTailMatchesEval) {
+  const netlist::Netlist n = netlist::gen::mcnc_like("pcle");
+  power::AddModelOptions opt;
+  opt.max_nodes = 0;
+  const power::AddPowerModel model =
+      power::AddPowerModel::build(n, netlist::GateLibrary::standard(), opt);
+  const CompiledDd& compiled = model.compiled();
+  ASSERT_GT(compiled.num_nodes(), 4096u);
+  const std::size_t block = compiled.sweep_groups();
+  ASSERT_EQ(block, 4u);
+
+  constexpr std::size_t W = CompiledDd::kPackedGroups;
+  const std::size_t nv = 2 * model.num_inputs();
+  Xoshiro256 rng(0x7a11);
+  std::vector<std::uint64_t> bits(W * nv);
+  for (std::uint64_t& w : bits) w = rng.next();
+  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint8_t> a(nv);
+  // 7 groups (tail block 3 of 4), 8 (two full blocks), 5 (tail 1 of 4),
+  // then 7 again through the same scratch after the wider calls.
+  const std::size_t counts[] = {64 * 6 + 37, 64 * W, 64 * 4 + 1, 64 * 6 + 37};
+  for (const std::size_t count : counts) {
+    const std::size_t groups = (count + 63) / 64;
+    SCOPED_TRACE("count " + std::to_string(count) + ", block " +
+                 std::to_string(block) + ", tail block live groups " +
+                 std::to_string((groups - 1) % block + 1));
+    std::vector<double> out(64 * W, -1.0);
+    compiled.eval_packed_wide(bits.data(), count, out.data(), scratch);
+    for (std::size_t k = 0; k < count; ++k) {
+      for (std::size_t v = 0; v < nv; ++v) {
+        a[v] = static_cast<std::uint8_t>((bits[W * v + k / 64] >> (k % 64)) & 1);
+      }
+      ASSERT_EQ(out[k], compiled.eval(a)) << "lane " << k;
+    }
+    // Lanes past `count` are never written.
+    for (std::size_t k = count; k < out.size(); ++k) {
+      ASSERT_EQ(out[k], -1.0) << "lane " << k;
+    }
+  }
+}
+
 TEST(CompiledEval, HandlesConstantsAndBdds) {
   dd::DdManager mgr(4);
   const CompiledDd c = CompiledDd::compile(mgr.constant(2.5));

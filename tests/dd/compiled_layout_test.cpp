@@ -1,5 +1,5 @@
 // Structural invariants of the breadth-first-packed CompiledDd layout: the
-// SIMD sweep kernels (dd/simd_kernels.hpp) depend on every one of them, so
+// packed sweep (eval_packed_wide) depends on every one of them, so
 // they are pinned here independently of the evaluation equivalence tests.
 #include <gtest/gtest.h>
 

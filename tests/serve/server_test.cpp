@@ -186,6 +186,23 @@ TEST(ServeErrors, InfeasibleStatisticsCrossTheWireTyped) {
   }
 }
 
+TEST(ServeErrors, TooFewVectorsIsAUsageReplyAndTheConnectionSurvives) {
+  ScopedServer daemon("vectors");
+  Client client = connect_with_retry(daemon.socket_path);
+  const service::BuildReply built = client.build(c17_request());
+  service::EvalRequest eval;
+  eval.vectors = 1;
+  try {
+    (void)client.evaluate(built.id, eval);
+    FAIL() << "daemon accepted a one-vector workload";
+  } catch (const service::UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("vectors must be at least 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NE(client.ping().find("version 1"), std::string::npos);
+}
+
 TEST(ServeLifecycle, PingReportsVersionAndClientShutdownExitsZero) {
   ScopedServer daemon("lifecycle");
   {

@@ -295,6 +295,38 @@ TEST(Cli, BooleanFlagRejectsAttachedValue) {
   EXPECT_NE(r.output.find("--bound does not take a value"), std::string::npos);
 }
 
+// One vector has no transition to average: `rtl --vectors 1` used to print
+// `-nan` and exit 0, and `estimate`/`chip --vectors 0` tripped a library
+// precondition (exit 1, with a source path in the message).
+TEST(Cli, FewerThanTwoVectorsIsAUsageError) {
+  const std::string model = ::testing::TempDir() + "/cli_vectors.cfpm";
+  ASSERT_EQ(run("build gen:c17 -m 0 -o " + model).exit_code, 0);
+  const std::string rtl = std::string("rtl ") + CFPM_DATA_DIR + "/datapath.rtl";
+  for (const std::string& cmd :
+       {rtl, "estimate " + model, std::string("chip --spec 2x3x12")}) {
+    for (const char* form : {" --vectors 0", " --vectors 1", " --vectors=1"}) {
+      const auto r = run(cmd + form);
+      EXPECT_EQ(r.exit_code, 2) << cmd << form << "\n" << r.output;
+      EXPECT_NE(r.output.find("--vectors must be at least 2"),
+                std::string::npos)
+          << r.output;
+      EXPECT_EQ(r.output.find("nan"), std::string::npos) << r.output;
+      EXPECT_EQ(r.output.find("precondition"), std::string::npos) << r.output;
+    }
+  }
+  // Two vectors are one transition: the smallest well-defined average.
+  const auto r = run(rtl + " --vectors 2");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("nan"), std::string::npos) << r.output;
+}
+
+TEST(Cli, SimdFlagIsGone) {
+  const auto r = run("estimate model.cfpm --simd scalar");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option: --simd"), std::string::npos)
+      << r.output;
+}
+
 // ---------------------------------------------------------------------------
 // fuzz subcommand.
 // ---------------------------------------------------------------------------
