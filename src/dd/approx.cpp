@@ -62,21 +62,13 @@ class Rebuilder {
   std::unordered_map<std::uint32_t, Edge> memo_;
 };
 
-/// All internal nodes reachable from root.
+/// All internal nodes reachable from root, in depth-first order.
 std::vector<std::uint32_t> internal_nodes(const DdManager& mgr,
                                           std::uint32_t root) {
-  std::unordered_set<std::uint32_t> seen;
   std::vector<std::uint32_t> result;
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t i = stack.back();
-    stack.pop_back();
-    const DdNode& n = DdInternal::node(mgr, i);
-    if (n.is_terminal() || !seen.insert(i).second) continue;
-    result.push_back(i);
-    stack.push_back(edge_index(n.then_edge));
-    stack.push_back(edge_index(n.else_edge));
-  }
+  DdInternal::for_each_node(mgr, root, [&](std::uint32_t i, const DdNode& n) {
+    if (!n.is_terminal()) result.push_back(i);
+  });
   return result;
 }
 
@@ -174,13 +166,21 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
       }
       return local / (e.avg * e.avg + 1e-12);
     };
-    std::sort(candidates.begin(), candidates.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const double ma = metric(a);
-                const double mb = metric(b);
-                if (ma != mb) return ma < mb;
-                return a < b;  // deterministic (arena index)
-              });
+    {
+      // Rank on (metric, arena index) pairs: each key is computed once. The
+      // scope frees the pairs before the parent-count maps below are built,
+      // which keeps them out of the collapse's peak memory.
+      std::vector<std::pair<double, std::uint32_t>> ranked;
+      ranked.reserve(candidates.size());
+      for (const std::uint32_t n : candidates) ranked.emplace_back(metric(n), n);
+      std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+        if (a.first != b.first) return a.first < b.first;
+        return a.second < b.second;  // deterministic (arena index)
+      });
+      for (std::size_t k = 0; k < ranked.size(); ++k) {
+        candidates[k] = ranked[k].second;
+      }
+    }
 
     // Live-parent counts over the reachable DAG (the root is pinned).
     std::unordered_map<std::uint32_t, std::size_t> parents;

@@ -1,6 +1,10 @@
 // Private bridge giving dd implementation files access to handle internals.
-// Not installed; include only from src/dd/*.cpp and src/power model builder.
+// Not installed; include only from src/dd/*.cpp, the src/power model builder
+// and white-box tests.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "dd/manager.hpp"
 
@@ -28,6 +32,30 @@ struct DdInternal {
   }
   static double value(const DdManager& m, std::uint32_t index) {
     return m.value_of(index);
+  }
+
+  /// Calls visit(index, node) once for every node reachable from arena
+  /// index `root`, terminals included, in depth-first order (else-child
+  /// subtree first). Visited nodes are marked in a flat array sized to the
+  /// arena and local to the call, so concurrent read-only walks of one
+  /// manager never share state. `visit` must not allocate nodes.
+  template <class Visit>
+  static void for_each_node(const DdManager& m, std::uint32_t root,
+                            Visit&& visit) {
+    std::vector<std::uint8_t> seen(m.nodes_.size(), 0);
+    std::vector<std::uint32_t> stack{root};
+    while (!stack.empty()) {
+      const std::uint32_t i = stack.back();
+      stack.pop_back();
+      if (seen[i] != 0) continue;
+      seen[i] = 1;
+      const DdNode& n = m.nodes_[i];
+      visit(i, n);
+      if (!n.is_terminal()) {
+        stack.push_back(edge_index(n.then_edge));
+        stack.push_back(edge_index(n.else_edge));
+      }
+    }
   }
 };
 

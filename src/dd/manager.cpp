@@ -1,5 +1,6 @@
 #include "dd/manager.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -385,10 +386,15 @@ void DdManager::cache_insert(std::uint32_t op, Edge f, Edge g, Edge h,
       static_cast<std::size_t>(mix(lo * 0x9e3779b97f4a7c15ULL + hi)) &
       (cache_.size() - 1);
   cache_[slot] = CacheEntry{f, g, h, op, r};
+  cache_dirty_ = true;
 }
 
 void DdManager::cache_clear() noexcept {
-  for (CacheEntry& e : cache_) e = CacheEntry{};
+  if (!cache_dirty_) return;  // already empty: nothing can point at a freed node
+  static const metrics::Counter c_clear("dd.cache.clear");
+  c_clear.add();
+  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+  cache_dirty_ = false;
 }
 
 // ---------------------------------------------------------------------------

@@ -216,6 +216,8 @@ class DdManager {
   // --- unified computed cache ----------------------------------------------
   Edge cache_lookup(std::uint32_t op, Edge f, Edge g, Edge h) noexcept;
   void cache_insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge r) noexcept;
+  /// Wipes every slot, or returns at once when nothing was inserted since
+  /// the last wipe (sifting calls this on every swap that frees a node).
   void cache_clear() noexcept;
 
   std::uint32_t level_of_index(std::uint32_t index) const noexcept {
@@ -259,6 +261,7 @@ class DdManager {
   std::vector<std::uint32_t> var_at_level_;
 
   std::vector<CacheEntry> cache_;
+  bool cache_dirty_ = false;  // some slot written since the last wipe
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_lookups_ = 0;
   std::uint64_t gc_runs_ = 0;

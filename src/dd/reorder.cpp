@@ -52,7 +52,8 @@ std::size_t DdManager::swap_adjacent_levels(std::uint32_t level) {
 
   // Collect u's live nodes and empty its table. Dead u-nodes are freed on
   // the spot (their children were dereferenced when they died); the cache
-  // is cleared when that happens because it may still point at them.
+  // is cleared when that happens because it may still point at them. Swaps
+  // never insert, so within one sift only the first such clear wipes.
   UniqueTable& table_u = unique_[u];
   std::vector<std::uint32_t> pending;
   pending.reserve(table_u.count);

@@ -107,7 +107,7 @@ bool next_line(std::istream& is, std::string& line, std::size_t& lineno) {
   return false;
 }
 
-/// Shared v1/v2 reader. Returns a referenced root edge (plain for ADDs).
+/// Shared add/bdd reader. Returns a referenced root edge (plain for ADDs).
 Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
   CFPM_FAILPOINT("dd.serialize.read");
   std::string line;
@@ -128,8 +128,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
 
   expect_line("header");
   bool file_is_bdd = false;
-  const bool file_is_v1 = line == "cfpm-add 1";
-  if (!file_is_v1) {  // v1 header: legacy ADD-only format
+  {
     std::istringstream ss(line);
     std::string magic, kind, extra;
     int v = 0;
@@ -204,7 +203,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
   }
   if (count == 0) throw ParseError("read_dd: empty node list", lineno);
 
-  // Edge token: "<id>" or (v2 bdd only) "!<id>". Resolves against already
+  // Edge token: "<id>" or (bdd only) "!<id>". Resolves against already
   // parsed entries; the '!' composes as an XOR on the stored edge's
   // complement bit.
   std::vector<Edge> by_id(count, kNilEdge);
@@ -293,39 +292,36 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
     root = parse_edge(ss);
   }
 
-  // v2 trailer: "crc <8 hex digits>" over the canonical body. Optional for
-  // backward compatibility — pre-trailer v2 files simply end after `root` —
+  // Trailer: "crc <8 hex digits>" over the canonical body. Optional for
+  // backward compatibility — pre-trailer files simply end after `root` —
   // but when present it must match. The lookahead seeks back when the next
-  // line belongs to someone else (concatenated-DD streams), and v1 files
-  // never carry a trailer, so their lookahead is skipped entirely.
-  if (!file_is_v1) {
-    const std::uint32_t body_crc = crc.value();
-    const std::istream::pos_type after_root = is.tellg();
-    std::string trailer;
-    std::size_t trailer_lineno = lineno;
-    if (next_line(is, trailer, trailer_lineno)) {
-      if (trailer.rfind("crc ", 0) == 0) {
-        lineno = trailer_lineno;
-        const std::string_view hex = std::string_view(trailer).substr(4);
-        std::uint32_t stored = 0;
-        const auto [ptr, ec] =
-            std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
-        if (ec != std::errc{} || ptr != hex.data() + hex.size() ||
-            hex.empty()) {
-          throw ParseError("read_dd: bad crc trailer '" + trailer + "'",
-                           lineno);
-        }
-        if (stored != body_crc) {
-          throw ParseError("read_dd: checksum mismatch (file says " +
-                               crc_hex(stored) + ", content is " +
-                               crc_hex(body_crc) + ") — truncated or corrupt",
-                           lineno);
-        }
-      } else {
-        // Not ours: restore the stream so a following reader sees it.
-        is.clear();
-        is.seekg(after_root);
+  // line belongs to someone else (concatenated-DD streams).
+  const std::uint32_t body_crc = crc.value();
+  const std::istream::pos_type after_root = is.tellg();
+  std::string trailer;
+  std::size_t trailer_lineno = lineno;
+  if (next_line(is, trailer, trailer_lineno)) {
+    if (trailer.rfind("crc ", 0) == 0) {
+      lineno = trailer_lineno;
+      const std::string_view hex = std::string_view(trailer).substr(4);
+      std::uint32_t stored = 0;
+      const auto [ptr, ec] =
+          std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
+      if (ec != std::errc{} || ptr != hex.data() + hex.size() ||
+          hex.empty()) {
+        throw ParseError("read_dd: bad crc trailer '" + trailer + "'",
+                         lineno);
       }
+      if (stored != body_crc) {
+        throw ParseError("read_dd: checksum mismatch (file says " +
+                             crc_hex(stored) + ", content is " +
+                             crc_hex(body_crc) + ") — truncated or corrupt",
+                         lineno);
+      }
+    } else {
+      // Not ours: restore the stream so a following reader sees it.
+      is.clear();
+      is.seekg(after_root);
     }
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "dd/dd_internal.hpp"
 #include "support/assert.hpp"
@@ -56,37 +55,23 @@ const NodeStats::Entry& NodeStats::compute(std::uint32_t node_index) {
 
 std::size_t DdHandle::size() const {
   CFPM_REQUIRE(edge_ != kNilEdge);
-  std::unordered_set<std::uint32_t> seen;
-  std::vector<std::uint32_t> stack{edge_index(edge_)};
-  while (!stack.empty()) {
-    const std::uint32_t i = stack.back();
-    stack.pop_back();
-    if (!seen.insert(i).second) continue;
-    const DdNode& n = DdInternal::node(*mgr_, i);
-    if (!n.is_terminal()) {
-      stack.push_back(edge_index(n.then_edge));
-      stack.push_back(edge_index(n.else_edge));
-    }
-  }
-  return seen.size();
+  std::size_t count = 0;
+  DdInternal::for_each_node(*mgr_, edge_index(edge_),
+                            [&](std::uint32_t, const DdNode&) { ++count; });
+  return count;
 }
 
 std::vector<std::uint32_t> DdHandle::support() const {
   CFPM_REQUIRE(edge_ != kNilEdge);
-  std::unordered_set<std::uint32_t> seen;
-  std::unordered_set<std::uint32_t> vars;
-  std::vector<std::uint32_t> stack{edge_index(edge_)};
-  while (!stack.empty()) {
-    const std::uint32_t i = stack.back();
-    stack.pop_back();
-    const DdNode& n = DdInternal::node(*mgr_, i);
-    if (n.is_terminal() || !seen.insert(i).second) continue;
-    vars.insert(n.var);
-    stack.push_back(edge_index(n.then_edge));
-    stack.push_back(edge_index(n.else_edge));
+  std::vector<std::uint8_t> used(mgr_->num_vars(), 0);
+  DdInternal::for_each_node(*mgr_, edge_index(edge_),
+                            [&](std::uint32_t, const DdNode& n) {
+                              if (!n.is_terminal()) used[n.var] = 1;
+                            });
+  std::vector<std::uint32_t> result;
+  for (std::uint32_t v = 0; v < used.size(); ++v) {
+    if (used[v] != 0) result.push_back(v);
   }
-  std::vector<std::uint32_t> result(vars.begin(), vars.end());
-  std::sort(result.begin(), result.end());
   return result;
 }
 
@@ -112,22 +97,15 @@ double Add::min_value() const {
 
 std::vector<double> Add::leaf_values() const {
   CFPM_REQUIRE(!is_null());
-  std::unordered_set<std::uint32_t> seen;
-  std::unordered_set<double> values;
-  std::vector<std::uint32_t> stack{edge_index(edge_)};
-  while (!stack.empty()) {
-    const std::uint32_t i = stack.back();
-    stack.pop_back();
-    if (!seen.insert(i).second) continue;
-    const DdNode& n = DdInternal::node(*mgr_, i);
-    if (n.is_terminal()) {
-      values.insert(DdInternal::value(*mgr_, i));
-    } else {
-      stack.push_back(edge_index(n.then_edge));
-      stack.push_back(edge_index(n.else_edge));
-    }
-  }
-  std::vector<double> result(values.begin(), values.end());
+  // Terminals are hash-consed by value, so distinct leaves hold distinct
+  // values.
+  std::vector<double> result;
+  DdInternal::for_each_node(*mgr_, edge_index(edge_),
+                            [&](std::uint32_t i, const DdNode& n) {
+                              if (n.is_terminal()) {
+                                result.push_back(DdInternal::value(*mgr_, i));
+                              }
+                            });
   std::sort(result.begin(), result.end());
   return result;
 }

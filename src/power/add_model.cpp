@@ -109,13 +109,16 @@ class SymbolicBuilder {
       }
       total = total + delta;
       if (options_.approximate_during_construction && inner_cap != 0) {
-        if (options_.reorder_passes > 0 && total.size() > sift_trigger) {
+        // One walk per gate; only a sift changes the size before the cap test.
+        std::size_t total_size = total.size();
+        if (options_.reorder_passes > 0 && total_size > sift_trigger) {
           mgr->sift();
           ++info.reorder_runs;
+          total_size = total.size();
           // Re-sift only once the diagram outgrows this result noticeably.
-          sift_trigger = std::max(sift_trigger, 2 * total.size());
+          sift_trigger = std::max(sift_trigger, 2 * total_size);
         }
-        if (total.size() > inner_cap) {
+        if (total_size > inner_cap) {
           total = dd::approximate_to(total, inner_cap, options_.mode);
           ++info.approximations;
         }

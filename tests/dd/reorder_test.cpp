@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dd/manager.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace cfpm::dd {
@@ -136,6 +137,92 @@ TEST(Reorder, HandlesStayValidAcrossManySwaps) {
   }
   for (std::size_t i = 0; i < funcs.size(); ++i) {
     EXPECT_EQ(table_of(funcs[i], kVars), tables[i]) << "function " << i;
+  }
+}
+
+std::uint64_t cache_wipes() {
+  return metrics::snapshot().counter("dd.cache.clear");
+}
+
+TEST(Reorder, SiftWipesTheComputedCacheAtMostOnce) {
+  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
+  constexpr std::size_t kVars = 8;
+  DdManager mgr(kVars);
+  Xoshiro256 rng(41);
+  Add keep = random_add(mgr, rng, kVars, 12);
+  { Add temp = random_add(mgr, rng, kVars, 8); }  // dead nodes to sweep
+  const auto tk = table_of(keep, kVars);
+
+  // The cache holds entries: the first sift wipes it once, however many of
+  // its swaps free a node.
+  const std::uint64_t w0 = cache_wipes();
+  mgr.sift();
+  EXPECT_EQ(cache_wipes(), w0 + 1);
+
+  // Sifting inserts nothing, so the cache is now clean and stays clean.
+  mgr.sift();
+  EXPECT_EQ(cache_wipes(), w0 + 1);
+  { Add temp = mgr.constant(123.5); }  // a dead node made without an apply
+  EXPECT_GT(mgr.collect_garbage(), 0u);
+  EXPECT_EQ(cache_wipes(), w0 + 1);
+  EXPECT_EQ(table_of(keep, kVars), tk);
+}
+
+TEST(Reorder, ApplyAfterSiftReusesNoStaleCacheEntry) {
+  // Fill the cache, drop every operand, sift (its garbage collection frees
+  // them and the free list hands their indices to new functions), then
+  // recompute. A cache that survived the sweep would answer the new
+  // operands with results computed for the old occupants of their indices.
+  constexpr std::size_t kVars = 8;
+  struct Term {
+    std::uint32_t v, w;
+    std::size_t weight;  // index into the live weights
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    DdManager mgr(kVars);
+    Xoshiro256 rng(seed);
+    std::vector<Add> weights;  // live terminals: stable apply operands
+    for (int c = 1; c <= 9; ++c) weights.push_back(mgr.constant(c));
+    auto draw = [&] {
+      std::vector<Term> terms(10);
+      for (Term& t : terms) {
+        t.v = static_cast<std::uint32_t>(rng.next_below(kVars));
+        t.w = static_cast<std::uint32_t>(rng.next_below(kVars));
+        t.weight = rng.next_below(weights.size());
+      }
+      return terms;
+    };
+    auto build = [&](const std::vector<Term>& terms) {
+      Add f = mgr.constant(0.0);
+      for (const Term& t : terms) {
+        f = f + Add(mgr.bdd_var(t.v) & !mgr.bdd_var(t.w)) * weights[t.weight];
+      }
+      return f;
+    };
+    auto value = [](const std::vector<Term>& terms,
+                    const std::vector<std::uint8_t>& a) {
+      double sum = 0.0;
+      for (const Term& t : terms) {
+        if (a[t.v] != 0 && a[t.w] == 0) sum += static_cast<double>(t.weight + 1);
+      }
+      return sum;
+    };
+    { Add f = build(draw()), g = build(draw()), h = f * g; }
+    mgr.sift();
+
+    const std::vector<Term> tf = draw();
+    const std::vector<Term> tg = draw();
+    const Add f = build(tf);
+    const Add g = build(tg);
+    const Add h = f * g;
+    for (unsigned m = 0; m < (1u << kVars); ++m) {
+      std::vector<std::uint8_t> a(kVars);
+      for (unsigned v = 0; v < kVars; ++v) a[v] = (m >> v) & 1u;
+      ASSERT_EQ(f.eval(a), value(tf, a)) << "seed " << seed << ", m " << m;
+      ASSERT_EQ(g.eval(a), value(tg, a)) << "seed " << seed << ", m " << m;
+      ASSERT_EQ(h.eval(a), value(tf, a) * value(tg, a))
+          << "seed " << seed << ", m " << m;
+    }
   }
 }
 

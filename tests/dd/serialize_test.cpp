@@ -77,7 +77,7 @@ TEST(Serialize, TerminalOnly) {
 
 TEST(Serialize, CommentsAndBlankLinesTolerated) {
   std::stringstream ss;
-  ss << "cfpm-add 1\n"
+  ss << "cfpm-dd 2 add\n"
      << "# a comment\n\n"
      << "vars 2\n"
      << "nodes 3\n"
@@ -101,19 +101,19 @@ TEST(Serialize, MalformedInputsThrow) {
   };
   expect_parse_error("");
   expect_parse_error("bogus header\n");
-  expect_parse_error("cfpm-add 1\nvars 2\nnodes 0\nroot 0\n");
-  expect_parse_error("cfpm-add 1\nvars 2\nnodes 1\n0 X 1\nroot 0\n");
+  expect_parse_error("cfpm-dd 2 add\nvars 2\nnodes 0\nroot 0\n");
+  expect_parse_error("cfpm-dd 2 add\nvars 2\nnodes 1\n0 X 1\nroot 0\n");
   // Child referenced before definition.
   expect_parse_error(
-      "cfpm-add 1\nvars 2\nnodes 2\n0 N 0 1 1\n1 T 3\nroot 0\n");
+      "cfpm-dd 2 add\nvars 2\nnodes 2\n0 N 0 1 1\n1 T 3\nroot 0\n");
   // Variable out of declared range.
   expect_parse_error(
-      "cfpm-add 1\nvars 1\nnodes 3\n0 T 0\n1 T 1\n2 N 1 0 1\nroot 2\n");
+      "cfpm-dd 2 add\nvars 1\nnodes 3\n0 T 0\n1 T 1\n2 N 1 0 1\nroot 2\n");
   // Duplicate id.
   expect_parse_error(
-      "cfpm-add 1\nvars 2\nnodes 2\n0 T 0\n0 T 1\nroot 0\n");
+      "cfpm-dd 2 add\nvars 2\nnodes 2\n0 T 0\n0 T 1\nroot 0\n");
   // Bad root.
-  expect_parse_error("cfpm-add 1\nvars 2\nnodes 1\n0 T 2\nroot 5\n");
+  expect_parse_error("cfpm-dd 2 add\nvars 2\nnodes 1\n0 T 2\nroot 5\n");
 }
 
 
@@ -166,31 +166,6 @@ TEST(Serialize, AddWithManyTerminalsRoundTrips) {
   }
 }
 
-TEST(Serialize, V1GoldenFileStillReads) {
-  // A frozen v1 payload (as written by the pre-complement-edge release);
-  // new code must keep loading vendor models shipped in that format.
-  std::stringstream ss;
-  ss << "cfpm-add 1\n"
-     << "vars 3\n"
-     << "order 2 0 1\n"
-     << "nodes 5\n"
-     << "0 T 0\n"
-     << "1 T 7.25\n"
-     << "2 N 1 1 0\n"   // g(x1) = x1 ? 7.25 : 0
-     << "3 N 0 2 0\n"   // h = x0 ? g : 0
-     << "4 N 2 3 2\n"   // f = x2 ? h : g
-     << "root 4\n";
-  DdManager mgr(3);
-  Add f = read_add(ss, mgr);
-  EXPECT_EQ(mgr.var_at_level(0), 2u);
-  const std::uint8_t a110[3] = {1, 1, 0};  // x2=0 -> g, x1=1 -> 7.25
-  const std::uint8_t a011[3] = {0, 1, 1};  // x2=1 -> h, x0=0 -> 0
-  const std::uint8_t a111[3] = {1, 1, 1};  // x2=1 -> h -> g, x1=1 -> 7.25
-  EXPECT_DOUBLE_EQ(f.eval(a110), 7.25);
-  EXPECT_DOUBLE_EQ(f.eval(a011), 0.0);
-  EXPECT_DOUBLE_EQ(f.eval(a111), 7.25);
-}
-
 TEST(Serialize, CorruptHeadersAndKindMismatchesRejected) {
   DdManager mgr(2);
   auto expect_add_error = [&](const std::string& text) {
@@ -207,7 +182,8 @@ TEST(Serialize, CorruptHeadersAndKindMismatchesRejected) {
   expect_add_error("cfpm-dd 2 add extra\n" + body);
   expect_add_error("cfpm-dd 2 bdd\n" + body);    // kind mismatch vs caller
   expect_bdd_error("cfpm-dd 2 add\n" + body);
-  expect_bdd_error("cfpm-add 1\n" + body);       // v1 files are ADD-only
+  expect_add_error("cfpm-add 1\n" + body);       // v1 is no longer read
+  expect_bdd_error("cfpm-add 1\n" + body);
   // Complement token outside the BDD fragment.
   expect_add_error(
       "cfpm-dd 2 add\nvars 1\nnodes 3\n0 T 0\n1 T 2\n2 N 0 !1 0\nroot 2\n");
@@ -339,7 +315,7 @@ TEST(Serialize, CommaDecimalTerminalIsRejectedNotMisparsed) {
 // ---------------------------------------------------------------------------
 // CRC trailer (v2). Written files end in "crc <8 hex>"; a reader must reject
 // a mismatch as a typed ParseError — never return a silently wrong DD — while
-// trailerless v2 files (pre-trailer era) and v1 files keep loading.
+// trailerless v2 files (pre-trailer era) keep loading.
 // ---------------------------------------------------------------------------
 
 TEST(Serialize, WriterEmitsCrcTrailerAndRoundTrips) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <unordered_set>
 #include <vector>
 
+#include "dd/dd_internal.hpp"
 #include "dd/manager.hpp"
 #include "support/rng.hpp"
 
@@ -185,6 +188,102 @@ TEST(Stats, LeafValuesSortedUnique) {
   Add f = Add(mgr.bdd_var(0)).times(4.0) + Add(mgr.bdd_var(1)).times(4.0);
   const auto leaves = f.leaf_values();
   EXPECT_EQ(leaves, (std::vector<double>{0.0, 4.0, 8.0}));
+}
+
+// Reference for the flat-mark traversals: the same DAG walk with a hash set
+// of visited arena indices.
+struct Walk {
+  std::size_t size = 0;
+  std::vector<std::uint32_t> support;
+  std::vector<double> leaves;
+};
+
+Walk hash_set_walk(const DdHandle& f) {
+  const DdManager& mgr = *f.manager();
+  std::unordered_set<std::uint32_t> seen;
+  std::set<std::uint32_t> vars;
+  std::set<double> leaves;
+  std::vector<std::uint32_t> stack{edge_index(DdInternal::edge(f))};
+  while (!stack.empty()) {
+    const std::uint32_t i = stack.back();
+    stack.pop_back();
+    if (!seen.insert(i).second) continue;
+    const DdNode& n = DdInternal::node(mgr, i);
+    if (n.is_terminal()) {
+      leaves.insert(DdInternal::value(mgr, i));
+    } else {
+      vars.insert(n.var);
+      stack.push_back(edge_index(n.then_edge));
+      stack.push_back(edge_index(n.else_edge));
+    }
+  }
+  return {seen.size(), {vars.begin(), vars.end()}, {leaves.begin(), leaves.end()}};
+}
+
+Bdd random_bdd(DdManager& mgr, Xoshiro256& rng, std::size_t vars) {
+  Bdd f = mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(vars)));
+  for (int i = 0; i < 6; ++i) {
+    Bdd v = mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(vars)));
+    switch (rng.next_below(3)) {
+      case 0: f = f & !v; break;
+      case 1: f = f | v; break;
+      default: f = f ^ v; break;
+    }
+  }
+  return f;
+}
+
+Add random_wide_add(DdManager& mgr, Xoshiro256& rng, std::size_t vars) {
+  Add f = mgr.constant(0.0);
+  for (int i = 0; i < 8; ++i) {
+    f = f + Add(random_bdd(mgr, rng, vars))
+                .times(1.0 + static_cast<double>(rng.next_below(20)));
+  }
+  return f;
+}
+
+void expect_walks_agree(const std::vector<Add>& adds,
+                        const std::vector<Bdd>& bdds, const char* when) {
+  for (const Add& f : adds) {
+    const Walk ref = hash_set_walk(f);
+    EXPECT_EQ(f.size(), ref.size) << when;
+    EXPECT_EQ(f.support(), ref.support) << when;
+    EXPECT_EQ(f.leaf_values(), ref.leaves) << when;
+  }
+  for (const Bdd& b : bdds) {
+    const Walk ref = hash_set_walk(b);
+    EXPECT_EQ(b.size(), ref.size) << when;
+    EXPECT_EQ(b.support(), ref.support) << when;
+    EXPECT_EQ((!b).size(), ref.size) << when;  // complement-invariant
+  }
+}
+
+TEST(Stats, FlatMarkTraversalsMatchHashSetWalk) {
+  constexpr std::size_t kWide = 9;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    DdManager mgr(kWide);
+    Xoshiro256 rng(seed);
+    std::vector<Add> adds;
+    std::vector<Bdd> bdds;
+    for (int k = 0; k < 4; ++k) {
+      adds.push_back(random_wide_add(mgr, rng, kWide));
+      bdds.push_back(random_bdd(mgr, rng, kWide));
+    }
+    expect_walks_agree(adds, bdds, "fresh manager");
+
+    // Drop half the functions, sweep and sift: the survivors are relabelled
+    // in place and the arena has free-list holes, which functions built
+    // afterwards fill.
+    adds.resize(2);
+    bdds.resize(2);
+    mgr.collect_garbage();
+    mgr.sift();
+    for (int k = 0; k < 3; ++k) {
+      adds.push_back(random_wide_add(mgr, rng, kWide));
+      bdds.push_back(random_bdd(mgr, rng, kWide));
+    }
+    expect_walks_agree(adds, bdds, "after GC and sift");
+  }
 }
 
 }  // namespace

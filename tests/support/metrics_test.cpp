@@ -81,7 +81,8 @@ TEST(Metrics, HistogramBucketBoundaries) {
   h.observe(7);
   h.observe(8);  // bucket 4: [8, 15]
   h.observe(std::numeric_limits<std::uint64_t>::max());  // last bucket
-  const auto* v = snapshot().histogram("test.buckets");
+  const Snapshot s = snapshot();  // `v` points into it
+  const auto* v = s.histogram("test.buckets");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->buckets[0], 1u);
   EXPECT_EQ(v->buckets[1], 1u);

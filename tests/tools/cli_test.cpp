@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -75,6 +76,40 @@ TEST(Cli, BuildEstimateWorstPipeline) {
   EXPECT_NE(worst.output.find("worst case:"), std::string::npos);
   EXPECT_NE(worst.output.find("witness"), std::string::npos);
   std::remove(model.c_str());
+}
+
+TEST(Cli, BuildPrintsThePinnedModelIds) {
+  // Pins what `build gen:<c>` at its default MAX produces. The ModelId is
+  // the content address of the request (circuit and options), so it only
+  // catches a change in what is hashed; the checksum trailer of the saved
+  // model covers the variable order and every node of the built ADD, so any
+  // change to a node, a sift or a collapse shows up there. A deliberate
+  // change must update these pins in the same change.
+  struct Pin {
+    const char* circuit;
+    const char* id;
+    const char* crc;
+  };
+  const Pin pins[] = {
+      {"cmb", "7af96744eace63d993617a282a781fbe", "64ccab75"},
+      {"cm150", "7a6f5eab83cebaea4a99b453f9ba4a8d", "3a783439"},
+      {"mux", "75ed876b7dc3a27ce97a865e151ab84f", "34f0f0b1"},
+      {"alu4", "2faecabd69df9c250c3d3ed8069fa9c4", "ae889e28"},
+  };
+  for (const Pin& pin : pins) {
+    const std::string model =
+        ::testing::TempDir() + "/cli_pin_" + pin.circuit + ".cfpm";
+    const auto r = run(std::string("build gen:") + pin.circuit + " -o " + model);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find(std::string("id      : ") + pin.id),
+              std::string::npos)
+        << pin.circuit << ":\n" << r.output;
+    std::ifstream in(model);
+    std::string line, last;
+    while (std::getline(in, line)) last = line;
+    EXPECT_EQ(last, std::string("crc ") + pin.crc) << pin.circuit;
+    std::remove(model.c_str());
+  }
 }
 
 TEST(Cli, EstimateRejectsInfeasibleStatistics) {
