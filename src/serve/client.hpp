@@ -1,4 +1,4 @@
-// Blocking wire-protocol client for cfpmd.
+// Blocking wire-protocol client for the `cfpm serve` daemon.
 //
 // One Client owns one connected Unix-socket stream and issues strictly
 // request/reply calls on it. Error frames from the daemon are rethrown as

@@ -45,9 +45,7 @@ std::uint64_t micros(double seconds) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      eval_pool_(options_.eval_threads == 0 ? 0 : options_.eval_threads),
-      build_pool_(options_.build_pool_threads == 0 ? 0
-                                                   : options_.build_pool_threads) {
+      eval_pool_(options_.eval_threads) {
   if (options_.socket_path.empty()) {
     throw ContractError("Server: socket_path must not be empty");
   }
@@ -64,8 +62,8 @@ Server::~Server() {
 
 void Server::log(const std::string& line) const {
   if (options_.log == nullptr) return;
-  // Connection threads and the build pool log concurrently; one process-wide
-  // mutex keeps lines whole (this is a cold path).
+  // Connection threads log concurrently; one process-wide mutex keeps lines
+  // whole (this is a cold path).
   static std::mutex log_mutex;
   std::lock_guard<std::mutex> lock(log_mutex);
   *options_.log << "cfpmd: " << line << "\n" << std::flush;
@@ -287,10 +285,10 @@ service::BuildReply Server::handle_build(wire::Frame frame) {
   if (!request.options.deadline_ms && options_.default_deadline_ms > 0) {
     request.options.deadline_ms = options_.default_deadline_ms;
   }
-  return build_model(std::move(request));
+  return build_model(request);
 }
 
-service::BuildReply Server::build_model(service::BuildRequest request) {
+service::BuildReply Server::build_model(const service::BuildRequest& request) {
   const service::ModelId id = service::model_id(request.netlist,
                                                 request.options);
 
@@ -333,88 +331,53 @@ service::BuildReply Server::build_model(service::BuildRequest request) {
       }
     }
   }
-  if (creator) {
-    static const metrics::Histogram h_queue("serve.queue.wait_us");
-    static const metrics::Histogram h_build("serve.build.latency_us");
-    Timer queued;
-    // ThreadPool::post swallows an exception that escapes the task wrapper
-    // itself (an injected `threadpool.task` fault fires before the closure
-    // runs). The job record must complete anyway — a waiter with no
-    // completion is a deadlock — so a guard riding in the closure's
-    // captures finishes the job with a typed error if the closure is
-    // destroyed without ever executing.
-    struct DropGuard {
-      Server* server;
-      std::shared_ptr<BuildJob> job;
-      std::uint64_t key;
-      DropGuard(Server* server, std::shared_ptr<BuildJob> job,
-                std::uint64_t key)
-          : server(server), job(std::move(job)), key(key) {}
-      // Non-copyable: a copied guard would fire once per copy, and a guard
-      // constructed from a temporary fires at end of full expression —
-      // completing the job with the drop error while the build is still
-      // running (which silently disables build deduplication).
-      DropGuard(const DropGuard&) = delete;
-      DropGuard& operator=(const DropGuard&) = delete;
-      ~DropGuard() {
-        bool completed_here = false;
-        {
-          std::lock_guard<std::mutex> job_lock(job->mutex);
-          if (!job->done) {
-            job->error = std::make_exception_ptr(Error(
-                "cfpmd: build task dropped before execution (injected "
-                "fault or pool teardown); retry the request"));
-            job->done = true;
-            completed_here = true;
-          }
-        }
-        if (!completed_here) return;
-        job->done_cv.notify_all();
-        std::lock_guard<std::mutex> lock(server->jobs_mutex_);
-        server->jobs_.erase(key);
-      }
-    };
-    auto guard = std::make_shared<DropGuard>(this, job, id.key);
-    build_pool_.post([this, job, guard, request = std::move(request), id,
-                      queued]() mutable {
-      h_queue.observe(micros(queued.seconds()));
-      service::BuildReply result;
-      std::exception_ptr error;
-      try {
-        CFPM_TRACE_SPAN("serve.build");
-        CFPM_FAILPOINT("serve.build");
-        Timer building;
-        c_builds().add();
-        result = service::build(request);
-        h_build.observe(micros(building.seconds()));
-        if (result.status == service::StatusCode::kOk) {
-          Registry::Entry entry;
-          entry.id = id;
-          entry.model = result.model;
-          entry.circuit = request.netlist.name();
-          entry.nodes = result.model_nodes;
-          registry_.admit(std::move(entry));
-          log("admitted " + id.to_hex() + " (" + request.netlist.name() +
-              ", " + std::to_string(result.model_nodes) + " nodes)");
-        }
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> job_lock(job->mutex);
-        job->reply = std::move(result);
-        job->error = error;
-        job->done = true;
-      }
-      job->done_cv.notify_all();
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      jobs_.erase(id.key);
-    });
+  if (!creator) {
+    std::unique_lock<std::mutex> job_lock(job->mutex);
+    job->done_cv.wait(job_lock, [&] { return job->done; });
+    if (job->error) std::rethrow_exception(job->error);
+    return job->reply;
   }
-  std::unique_lock<std::mutex> job_lock(job->mutex);
-  job->done_cv.wait(job_lock, [&] { return job->done; });
-  if (job->error) std::rethrow_exception(job->error);
-  return job->reply;
+
+  // The creator builds on its own connection thread; waiters on the same
+  // id block on the job until it completes, whatever the outcome.
+  static const metrics::Histogram h_build("serve.build.latency_us");
+  service::BuildReply result;
+  std::exception_ptr error;
+  try {
+    CFPM_TRACE_SPAN("serve.build");
+    CFPM_FAILPOINT("serve.build");
+    Timer building;
+    c_builds().add();
+    result = service::build(request);
+    h_build.observe(micros(building.seconds()));
+    if (result.status == service::StatusCode::kOk) {
+      Registry::Entry entry;
+      entry.id = id;
+      entry.model = result.model;
+      entry.circuit = request.netlist.name();
+      entry.nodes = result.model_nodes;
+      registry_.admit(std::move(entry));
+      log("admitted " + id.to_hex() + " (" + request.netlist.name() + ", " +
+          std::to_string(result.model_nodes) + " nodes)");
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::lock_guard<std::mutex> job_lock(job->mutex);
+    job->reply = result;
+    job->error = error;
+    job->done = true;
+  }
+  job->done_cv.notify_all();
+  {
+    // Erased on failure too: a failed build is not cached, so the next
+    // request for this id starts a fresh one.
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    jobs_.erase(id.key);
+  }
+  if (error) std::rethrow_exception(error);
+  return result;
 }
 
 std::shared_ptr<const power::PowerModel> Server::resolve(
@@ -469,7 +432,7 @@ service::ChipReply Server::handle_chip(const wire::Frame& frame) {
     br.options.max_nodes = request.max_nodes;
     br.options.degrade = request.degrade;
     br.options.deadline_ms = request.deadline_ms;
-    service::BuildReply reply = build_model(std::move(br));
+    service::BuildReply reply = build_model(br);
     chip::SourcedModel out;
     out.model = reply.model;
     out.build_info = reply.build_info;

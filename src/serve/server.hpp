@@ -1,17 +1,19 @@
-// cfpmd — the long-lived power-model server.
+// The long-lived power-model server behind `cfpm serve` (its log lines and
+// error messages carry the `cfpmd:` prefix).
 //
 // One process owns a content-addressed Registry of compiled models and
 // answers wire-protocol queries over a Unix-domain socket:
 //
 //   build  -> hash the netlist+options; registry hit returns immediately
-//             (serve.cache.hit, zero construction work), miss enqueues one
-//             deduplicated async build on the build pool (concurrent
-//             requesters of the same id wait on the same job) under the
-//             request's governor deadline, with the §9 degradation ladder
-//             as fallback. Clean builds are admitted to the registry;
-//             degraded results are served to their requester but never
-//             cached (a ladder outcome depends on wall clock, so caching
-//             one would break the bit-identical replay guarantee).
+//             (serve.cache.hit, zero construction work); a miss runs one
+//             deduplicated build on the requesting connection's thread
+//             (concurrent requesters of the same id wait on the same job)
+//             under the request's governor deadline, with the §9
+//             degradation ladder as fallback. Clean builds are admitted
+//             to the registry; degraded results are served to their
+//             requester but never cached (a ladder outcome depends on wall
+//             clock, so caching one would break the bit-identical replay
+//             guarantee).
 //   eval   -> (sp, st) workload query against an admitted model — the exact
 //             one-shot-CLI recipe (seeded Markov generator + one batched
 //             estimate_trace pass), so daemon replies are bit-identical to
@@ -25,11 +27,12 @@
 //             eval pool.
 //   stats / ping / shutdown — introspection and lifecycle.
 //
-// Threading: one thread per connection (requests on a connection are
-// processed in order; concurrency comes from concurrent connections), a
-// shared eval pool for trace sharding, and a build pool fed through
-// ThreadPool::post. A registry lookup on the query path holds the
-// registry mutex for one hash probe.
+// Threading: one std::thread per connection (requests on a connection are
+// processed in order; concurrency comes from concurrent connections). A
+// cache-miss build runs on the thread of the connection that created its
+// job, so distinct models build in parallel, one per connection. The shared
+// eval pool only shards evaluation. A registry lookup on the query path
+// holds the registry mutex for one hash probe.
 //
 // Shutdown: request_shutdown() is async-signal-safe (an atomic flag plus
 // shutdown(2) on the listening socket to wake accept). The drain sequence
@@ -71,7 +74,8 @@ struct ServerOptions {
   std::string persist_dir;
   /// Lanes of the shared eval pool (estimate_trace sharding). 0 = hardware.
   std::size_t eval_threads = 1;
-  /// Lanes of the build pool (async cache-miss builds). 0 = hardware.
+  /// Unused: builds run on connection threads. Kept only because the
+  /// benchmark sources assign it; the next change to the benchmark removes it.
   std::size_t build_pool_threads = 1;
   /// Governor deadline applied to build requests that carry none (0 = no
   /// default deadline).
@@ -129,10 +133,11 @@ class Server {
   bool handle_frame(int fd, const wire::Frame& frame);
   service::BuildReply handle_build(wire::Frame frame);
   /// The registry-backed build path behind handle_build: probe, dedup via
-  /// BuildJob, async construction, admission of clean results. handle_chip
+  /// BuildJob, construction on the calling thread, admission of clean
+  /// results. handle_chip
   /// calls it once per macro variant, so chip requests populate (and are
   /// served from) the same cache as plain build requests.
-  service::BuildReply build_model(service::BuildRequest request);
+  service::BuildReply build_model(const service::BuildRequest& request);
   service::EvalReply handle_eval(const wire::Frame& frame);
   service::EvalReply handle_trace(const wire::Frame& frame);
   service::ChipReply handle_chip(const wire::Frame& frame);
@@ -147,7 +152,6 @@ class Server {
   ServerOptions options_;
   Registry registry_;
   ThreadPool eval_pool_;
-  ThreadPool build_pool_;
 
   std::mutex jobs_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<BuildJob>> jobs_;
@@ -166,9 +170,9 @@ class Server {
 };
 
 /// Runs `server` with SIGINT/SIGTERM wired to
-/// request_shutdown(from_signal=true) — the daemon entry point both `cfpmd`
-/// and `cfpm serve` share. Previous handlers are restored on return. One
-/// server at a time, process-wide.
+/// request_shutdown(from_signal=true) — the daemon entry point of
+/// `cfpm serve`. Previous handlers are restored on return. One server at a
+/// time, process-wide.
 int run_with_signal_handling(Server& server);
 
 }  // namespace cfpm::serve

@@ -206,18 +206,24 @@ BuildReply build(const BuildRequest& request) {
 // Evaluate
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Two vectors make the first transition; with fewer there is nothing to
-/// average, so the request is malformed rather than the model at fault.
-void check_vectors(std::size_t vectors) {
+sim::InputSequence generate_workload(const stats::InputStatistics& statistics,
+                                     std::size_t width, std::size_t vectors,
+                                     std::uint64_t seed) {
+  // Two vectors make the first transition; with fewer there is nothing to
+  // average, so the request is malformed rather than the model at fault.
   if (vectors < 2) {
     throw UsageError("vectors must be at least 2, got " +
                      std::to_string(vectors));
   }
+  if (!stats::feasible(statistics)) {
+    // Deliberately cfpm::Error, not UsageError: this is the message (and
+    // exit code 1) the one-shot CLI has always produced for an infeasible
+    // workload, and scripts key on it.
+    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
+  }
+  stats::MarkovSequenceGenerator gen(statistics, seed);
+  return gen.generate(width, vectors);
 }
-
-}  // namespace
 
 EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                    ThreadPool* pool) {
@@ -226,17 +232,11 @@ EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                      std::to_string(request.api_version) + " (expected " +
                      std::to_string(kApiVersion) + ")");
   }
-  check_vectors(request.vectors);
-  if (!stats::feasible(request.statistics)) {
-    // Deliberately cfpm::Error, not UsageError: this is the message (and
-    // exit code 1) the one-shot CLI has always produced for an infeasible
-    // workload, and scripts key on it.
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
-  stats::MarkovSequenceGenerator gen(request.statistics, request.seed);
-  const sim::InputSequence seq =
-      gen.generate(model.num_inputs(), request.vectors);
-  return evaluate_trace(model, seq, pool);
+  return evaluate_trace(model,
+                        generate_workload(request.statistics,
+                                          model.num_inputs(), request.vectors,
+                                          request.seed),
+                        pool);
 }
 
 EvalReply evaluate_trace(const power::PowerModel& model,
@@ -341,15 +341,11 @@ ChipReply evaluate_chip(const ChipRequest& request,
                         const cfpm::chip::ModelSource& source,
                         ThreadPool* pool) {
   check_chip_version(request.api_version);
-  check_vectors(request.vectors);
-  if (!stats::feasible(request.statistics)) {
-    // Same exception type and message as evaluate(): scripts key on it.
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
   const cfpm::chip::ChipSpec spec = parse_chip_spec(request.spec);
+  // Generated before the build, so a bad workload costs no construction.
+  const sim::InputSequence trace = generate_workload(
+      request.statistics, spec.bus_width(), request.vectors, request.seed);
   const cfpm::chip::Chip c = cfpm::chip::build_chip(spec, source);
-  stats::MarkovSequenceGenerator gen(request.statistics, request.seed);
-  const sim::InputSequence trace = gen.generate(c.bus_width(), request.vectors);
   return finish_chip_reply(c, trace, pool);
 }
 

@@ -7,7 +7,7 @@
 // fuzzer sampled AddModelOptions directly. The service facade makes one
 // typed entry point out of that — versioned BuildRequest/EvalRequest
 // structs in, Reply structs or typed error payloads out — shared verbatim
-// by the one-shot CLI, the cfpmd daemon (src/serve/server), and the
+// by the one-shot CLI, the `cfpm serve` daemon (src/serve/server), and the
 // differential fuzzer. Sharing the entry point is what makes the daemon's
 // "bit-identical to the CLI" guarantee checkable rather than aspirational:
 // both sides execute literally the same code path behind the same structs.
@@ -49,6 +49,10 @@ namespace cfpm::service {
 /// ships them). Requests carrying any other version are rejected with a
 /// typed kUsage error instead of being misinterpreted.
 inline constexpr std::uint32_t kApiVersion = 1;
+
+/// The fixed seed of every (sp, st) workload the CLI generates; requests
+/// default to it.
+inline constexpr std::uint64_t kWorkloadSeed = 0xcf9e;
 
 // ---------------------------------------------------------------------------
 // Status / typed errors
@@ -177,7 +181,7 @@ struct EvalRequest {
   std::uint32_t api_version = kApiVersion;
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;
-  std::uint64_t seed = 0xcf9e;  ///< the CLI's fixed workload seed
+  std::uint64_t seed = kWorkloadSeed;
 };
 
 struct EvalReply {
@@ -201,7 +205,7 @@ struct ChipRequest {
   std::optional<std::size_t> deadline_ms;  ///< per-macro build deadline
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;
-  std::uint64_t seed = 0xcf9e;
+  std::uint64_t seed = kWorkloadSeed;
 };
 
 /// One distinct library macro in a chip reply (shared by its instances).
@@ -266,6 +270,14 @@ BuildReply build(const BuildRequest& request);
 /// fuzzer's sampled scenarios): same construction path, no content id.
 BuildReply build(const netlist::Netlist& n, power::ModelKind kind,
                  const power::ModelOptions& options);
+
+/// The seeded (sp, st) workload every evaluation path runs: `vectors`
+/// Markov vectors of `width` bits from `seed`. Throws UsageError for fewer
+/// than 2 vectors and cfpm::Error ("infeasible statistics: ...", the
+/// message scripts key on) for statistics no Markov source can produce.
+sim::InputSequence generate_workload(const stats::InputStatistics& statistics,
+                                     std::size_t width, std::size_t vectors,
+                                     std::uint64_t seed = kWorkloadSeed);
 
 /// Evaluates a (sp, st) workload on a model. Validates api_version and
 /// workload feasibility (typed errors); sharding over `pool` never changes

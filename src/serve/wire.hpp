@@ -1,4 +1,4 @@
-// cfpmd wire protocol: length-prefixed, versioned, CRC-checked frames.
+// Daemon (`cfpm serve`) wire protocol: length-prefixed, versioned, CRC-checked frames.
 //
 // A frame is a fixed 16-byte binary header followed by a text payload:
 //

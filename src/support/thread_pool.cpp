@@ -49,54 +49,11 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    work_ready_.wait(lock, [&] {
-      return stop_ || generation_ != seen || !tasks_.empty();
-    });
-    if (generation_ != seen) {
-      seen = generation_;
-      drain_indices_locked(lock);
-      continue;
-    }
-    if (!tasks_.empty()) {
-      std::function<void()> task = std::move(tasks_.front());
-      tasks_.pop_front();
-      lock.unlock();
-      run_task(task);
-      lock.lock();
-      continue;
-    }
-    // stop_ is checked last so queued detached tasks drain before exit:
-    // a posted task is a promise of execution, not best-effort.
+    work_ready_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
+    seen = generation_;
+    drain_indices_locked(lock);
   }
-}
-
-void ThreadPool::run_task(std::function<void()>& task) noexcept {
-  static const metrics::Counter c_error("threadpool.task.error");
-  try {
-    CFPM_FAILPOINT("threadpool.task");
-    task();
-  } catch (...) {
-    // Detached work has no caller stack to land on; the task owner is
-    // responsible for capturing outcomes (the serve build queue stores the
-    // exception in its job record before it can escape here).
-    c_error.add();
-  }
-}
-
-void ThreadPool::post(std::function<void()> task) {
-  static const metrics::Counter c_post("threadpool.task.posted");
-  c_post.add();
-  if (workers_.empty()) {
-    // Single-lane pool: the calling thread is the only lane there is.
-    run_task(task);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
 }
 
 void ThreadPool::drain_indices_locked(std::unique_lock<std::mutex>& lock) {

@@ -11,7 +11,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -36,7 +35,7 @@ class ThreadPool {
 
   /// Spawned worker threads: at most num_threads() - 1, and 0 for
   /// ThreadPool(1) — the single-lane pool is a pure inline executor (no
-  /// threads, and run_indexed never touches the queue mutex). May be lower
+  /// threads, and run_indexed never touches the pool mutex). May be lower
   /// than requested when std::thread construction fails (resource limits):
   /// the constructor degrades to the workers that did spawn instead of
   /// throwing, counting each loss in `threadpool.worker.spawn_failed`.
@@ -49,32 +48,17 @@ class ThreadPool {
   /// throws, one of the exceptions is rethrown here after the batch drains.
   void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  /// Enqueues a detached task for some worker to run; returns immediately.
-  /// A single-lane pool (no workers) runs the task inline before returning,
-  /// so posted work completes at any pool size. Tasks still queued when the
-  /// pool is destroyed are drained — run to completion — before the workers
-  /// exit, never dropped. A task is detached work: an exception escaping it
-  /// is swallowed and counted (`threadpool.task.error`); report outcomes
-  /// through the task's own channel (the serve build queue stores them in
-  /// its job record). This is the async-build entry of the model server;
-  /// run_indexed batches keep their bit-identical contract but may
-  /// temporarily lose a lane to a long-running posted task.
-  void post(std::function<void()> task);
-
  private:
   void worker_loop();
   /// Claims and runs indices of the current batch until none remain.
   /// Expects `lock` held; releases it around each fn invocation.
   void drain_indices_locked(std::unique_lock<std::mutex>& lock);
-  /// Runs one detached task, swallowing and counting any exception.
-  static void run_task(std::function<void()>& task) noexcept;
 
   std::vector<std::thread> workers_;
 
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable batch_done_;
-  std::deque<std::function<void()>> tasks_;  // guarded by mutex_
   const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t job_count_ = 0;
   std::size_t next_index_ = 0;   // guarded by mutex_

@@ -97,7 +97,7 @@ int usage() {
       "            [--faults]\n"
       "  cfpm fuzz --replay <file.repro>\n"
       "  cfpm serve --socket PATH [--persist DIR] [--threads N]\n"
-      "             [--build-threads N] [--deadline-ms N]\n"
+      "             [--deadline-ms N]\n"
       "  cfpm query <verb> --socket PATH [args]   with <verb> one of:\n"
       "             build <circuit> [-m MAX] [--bound] [--deadline-ms N]\n"
       "             eval <circuit|model-id> [--sp P] [--st P] [--vectors N]\n"
@@ -135,10 +135,10 @@ int usage() {
       "fuzz --faults additionally arms a seed-derived failpoint spec per\n"
       "check and asserts deterministic recovery: injected faults may fail\n"
       "typed, but a clean rerun must pass and values must never corrupt.\n"
-      "serve runs the long-lived model server (same daemon as the cfpmd\n"
-      "binary): cached build replies perform zero construction work and\n"
-      "eval replies are bit-identical to the one-shot CLI; its\n"
-      "--build-threads N sizes the build pool (0 = all hardware threads).\n"
+      "serve runs the long-lived model server: cached build replies perform\n"
+      "zero construction work, a cache miss builds on the requesting\n"
+      "connection's thread, and eval replies are bit-identical to the\n"
+      "one-shot CLI.\n"
       "query talks to a running daemon; eval/trace accept the circuit spec\n"
       "(the content id is computed locally) or the 32-hex model id a build\n"
       "printed.\n"
@@ -174,7 +174,6 @@ struct Args {
   std::size_t vectors = 10000;
   double vdd = 3.3;
   std::size_t threads = 1;        // 0 = hardware concurrency
-  std::size_t build_pool_threads = 1;  // serve build pool; 0 = hardware
   bool compiled = false;
   bool max_nodes_explicit = false;  // -m was given (chip defaults differ)
 
@@ -201,24 +200,7 @@ struct Args {
   std::string replay;                    // .repro file to re-run
   bool fuzz_faults = false;              // fault-injection campaign mode
 
-  /// Build options honoring the resilience flags. A governor is always
-  /// attached (its poll/checkpoint counters feed the observability layer);
-  /// the deadline is only armed when --deadline-ms asks for one. It is
-  /// shared so a multi-build command spends one budget.
-  power::AddModelOptions model_options() const {
-    power::AddModelOptions opt;
-    opt.max_nodes = max_nodes;
-    opt.mode = bound ? dd::ApproxMode::kUpperBound : dd::ApproxMode::kAverage;
-    opt.degrade = degrade;
-    auto governor = std::make_shared<Governor>();
-    if (deadline_ms) {
-      governor->set_deadline(std::chrono::milliseconds(*deadline_ms));
-    }
-    opt.dd_config.governor = std::move(governor);
-    return opt;
-  }
-
-  /// The same knobs in the facade's wire-shape form — what `build`,
+  /// The build knobs in the facade's wire-shape form — what `build`,
   /// `query build` and `query eval` send through cfpm::service, so the
   /// one-shot and daemon paths compute identical content ids and models.
   service::BuildOptions service_options() const {
@@ -349,8 +331,6 @@ std::optional<Args> parse(int argc, char** argv) {
       }();
     } else if (flag == "--threads") {
       ok = number(a.threads);
-    } else if (flag == "--build-threads") {
-      ok = number(a.build_pool_threads);
     } else if (flag == "--compiled") {
       ok = boolean(a.compiled, true);
     } else if (flag == "--deadline-ms") {
@@ -471,7 +451,7 @@ int cmd_build(const Args& a) {
   const netlist::Netlist n = load_circuit(a.positional[0]);
   // Through the service facade: the same BuildRequest path the daemon
   // executes, so the printed content id addresses the identical model in a
-  // cfpmd registry.
+  // daemon's registry.
   const service::BuildReply reply =
       service::build({service::kApiVersion, n, a.service_options()});
   std::cout << "model   : " << reply.model_nodes << " nodes ("
@@ -507,7 +487,7 @@ int cmd_estimate(const Args& a) {
 
   // Through the service facade: one seeded Markov workload + one batched
   // estimate_trace pass, sharded over a pool when --threads asks for one.
-  // Results are bit-identical for every thread count — and to a cfpmd
+  // Results are bit-identical for every thread count — and to a daemon
   // eval query with the same parameters, since the daemon runs this exact
   // entry point.
   service::EvalRequest request;
@@ -568,11 +548,12 @@ int cmd_accuracy(const Args& a) {
   const netlist::Netlist n = load_circuit(a.positional[0]);
   const sim::GateLevelSimulator golden(n, kLib);
 
-  power::ModelOptions options;
-  options.add = a.model_options();
-  options.library = kLib;
+  // One governor for the three builds, so they spend one --deadline-ms
+  // budget.
+  power::ModelOptions options =
+      service::to_model_options(a.service_options(), kLib);
   options.characterization_vectors = a.vectors;
-  options.characterization_seed = 0xcf9e;
+  options.characterization_seed = service::kWorkloadSeed;
   // Through the service facade (rich in-process overload): same factory
   // path as before, with the degradation report delivered in the reply
   // instead of via dynamic_cast.
@@ -600,11 +581,8 @@ int cmd_accuracy(const Args& a) {
 int cmd_trace(const Args& a) {
   if (a.positional.size() != 1 || a.output.empty()) return usage();
   const netlist::Netlist n = load_circuit(a.positional[0]);
-  if (!stats::feasible({a.sp, a.st})) {
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
-  stats::MarkovSequenceGenerator gen({a.sp, a.st}, 0xcf9e);
-  const auto seq = gen.generate(n.num_inputs(), a.vectors);
+  const auto seq =
+      service::generate_workload({a.sp, a.st}, n.num_inputs(), a.vectors);
   const sim::GateLevelSimulator simulator(n, kLib);
   atomic_write_file(a.output, [&](std::ostream& os) {
     sim::write_vcd(os, n, seq, &simulator);
@@ -661,11 +639,8 @@ int cmd_rtl(const Args& a) {
   if (a.positional.size() != 1) return usage();
   const power::RtlDescription d =
       power::read_rtl_design_file(a.positional[0], kLib);
-  if (!stats::feasible({a.sp, a.st})) {
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
-  stats::MarkovSequenceGenerator gen({a.sp, a.st}, 0xcf9e);
-  const auto trace = gen.generate(d.design.bus_width(), a.vectors);
+  const auto trace = service::generate_workload(
+      {a.sp, a.st}, d.design.bus_width(), a.vectors);
 
   std::vector<std::uint8_t> xi(d.design.bus_width()), xf(d.design.bus_width());
   std::vector<double> per_instance(d.design.num_instances(), 0.0);
@@ -699,7 +674,9 @@ int cmd_rtl(const Args& a) {
   for (std::size_t i = 0; i < per_instance.size(); ++i) {
     table.add_row({d.design.instance_name(i), d.instance_macros[i],
                    eval::TextTable::num(per_instance[i] / cycles, 2),
-                   eval::TextTable::num(100.0 * per_instance[i] / total, 1)});
+                   eval::TextTable::num(
+                       total > 0.0 ? 100.0 * per_instance[i] / total : 0.0,
+                       1)});
   }
   table.print(std::cout);
   return 0;
@@ -881,7 +858,6 @@ int cmd_serve(const Args& a) {
   options.socket_path = a.socket;
   options.persist_dir = a.persist_dir;
   options.eval_threads = a.threads;
-  options.build_pool_threads = a.build_pool_threads;
   options.default_deadline_ms = a.deadline_ms.value_or(0);
   options.log = &std::cerr;
   serve::Server server(std::move(options));
@@ -980,11 +956,8 @@ int cmd_query(const Args& a) {
     // count; results match an eval query with the same parameters exactly.
     if (a.positional.size() != 2) return usage();
     const netlist::Netlist n = load_circuit(a.positional[1]);
-    if (!stats::feasible({a.sp, a.st})) {
-      throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-    }
-    stats::MarkovSequenceGenerator gen({a.sp, a.st}, 0xcf9e);
-    const auto seq = gen.generate(n.num_inputs(), a.vectors);
+    const auto seq =
+        service::generate_workload({a.sp, a.st}, n.num_inputs(), a.vectors);
     print_eval_reply(
         a, client.evaluate_trace(
                service::model_id(n, a.service_options()), seq));

@@ -525,9 +525,6 @@ struct ScopedServer {
     options.socket_path = socket_path;
     options.persist_dir = persist_dir;
     options.eval_threads = 1;
-    // Serial builds on both sides keep construction bit-identical to the
-    // in-process reference regardless of host core count.
-    options.build_pool_threads = 1;
     server = std::make_unique<serve::Server>(std::move(options));
     thread = std::thread([this] { exit_code = server->run(); });
   }

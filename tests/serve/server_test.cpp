@@ -20,6 +20,7 @@
 #include "serve/service.hpp"
 #include "stats/markov.hpp"
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
 #include "support/metrics.hpp"
 
 namespace cfpm::serve {
@@ -47,7 +48,6 @@ struct ScopedServer {
     options.socket_path = socket_path;
     options.persist_dir = persist_dir;
     options.eval_threads = 1;
-    options.build_pool_threads = 1;
     server = std::make_unique<Server>(std::move(options));
     thread = std::thread([this] { exit_code = server->run(); });
   }
@@ -298,6 +298,25 @@ TEST(ServeConcurrency, ParallelClientsShareOneDeduplicatedBuild) {
     // construction no matter how the connection threads interleave.
     EXPECT_EQ(probe.stats().builds - before_builds, 1u);
   }
+}
+
+TEST(ServeErrors, FailedBuildIsNotCachedAndARetryBuilds) {
+  if (!failpoint::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  ScopedServer daemon("retry");
+  Client client = connect_with_retry(daemon.socket_path);
+  const service::BuildRequest request = c17_request();
+
+  failpoint::arm_from_spec("serve.build=throw_resource:1");
+  EXPECT_THROW((void)client.build(request), ResourceError);
+  failpoint::disarm_all();
+  EXPECT_EQ(client.stats().models, 0u) << "a failed build was admitted";
+
+  // The failed job was erased, so the retry is a fresh, admitted build
+  // rather than a replay of the stored error.
+  const service::BuildReply retry = client.build(request);
+  EXPECT_FALSE(retry.cache_hit);
+  EXPECT_EQ(retry.status, service::StatusCode::kOk);
+  EXPECT_EQ(client.stats().models, 1u);
 }
 
 TEST(ServeChip, ChipQueryServesMacroLibraryFromRegistry) {

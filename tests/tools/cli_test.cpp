@@ -180,6 +180,14 @@ TEST(Cli, RtlDesignEstimate) {
   EXPECT_NE(r.output.find("design  : sample_datapath"), std::string::npos);
   EXPECT_NE(r.output.find("alu0"), std::string::npos);
   EXPECT_NE(r.output.find("share(%)"), std::string::npos);
+
+  // A zero-activity workload dissipates nothing: every share is 0, not
+  // the 0/0 NaN an unguarded division prints.
+  const auto idle = run(std::string("rtl ") + CFPM_DATA_DIR +
+                        "/datapath.rtl --st 0 --vectors 100");
+  ASSERT_EQ(idle.exit_code, 0) << idle.output;
+  EXPECT_NE(idle.output.find("share(%)"), std::string::npos);
+  EXPECT_EQ(idle.output.find("nan"), std::string::npos) << idle.output;
 }
 
 TEST(Cli, RtlMissingFileFails) {
@@ -360,6 +368,14 @@ TEST(Cli, SimdFlagIsGone) {
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown option: --simd"), std::string::npos)
       << r.output;
+
+  // `serve` has no build pool to size: a cache miss builds on the
+  // requesting connection's thread.
+  const auto serve = run("serve --socket S --build-threads 2");
+  EXPECT_EQ(serve.exit_code, 2);
+  EXPECT_NE(serve.output.find("unknown option: --build-threads"),
+            std::string::npos)
+      << serve.output;
 }
 
 // ---------------------------------------------------------------------------
