@@ -5,12 +5,14 @@
 
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
+#include "support/trace.hpp"
 
 namespace cfpm::chip {
 
 ChipTraceResult evaluate_trace(const power::RtlDesign& design,
                                const sim::InputSequence& trace,
                                ThreadPool* pool) {
+  CFPM_TRACE_SPAN("chip.eval");
   CFPM_REQUIRE(trace.num_inputs() >= design.bus_width());
   static const metrics::Counter c_eval("chip.eval.count");
   static const metrics::Counter c_transitions("chip.eval.transitions");
@@ -25,6 +27,15 @@ ChipTraceResult evaluate_trace(const power::RtlDesign& design,
   result.per_instance_ff.assign(design.num_instances(), 0.0);
   if (transitions == 0 || design.num_instances() == 0) return result;
 
+  using power::PowerModel;
+  constexpr std::size_t kBlock = PowerModel::kBlockTransitions;
+  static_assert(kTraceChunk % kBlock == 0,
+                "chunk boundaries must not split a block");
+  std::size_t max_inputs = 0;
+  for (std::size_t i = 0; i < design.num_instances(); ++i) {
+    max_inputs = std::max(max_inputs, design.instance_input_map(i).size());
+  }
+
   const std::size_t chunks = (transitions + kTraceChunk - 1) / kTraceChunk;
   struct Slot {
     std::vector<double> per_instance;
@@ -36,18 +47,31 @@ ChipTraceResult evaluate_trace(const power::RtlDesign& design,
     const std::size_t end = std::min(begin + kTraceChunk, transitions);
     Slot& slot = slots[c];
     slot.per_instance.assign(design.num_instances(), 0.0);
-    power::RtlDesign::EvalScratch scratch;
-    std::vector<std::uint8_t> xi(trace.num_inputs());
-    std::vector<std::uint8_t> xf(trace.num_inputs());
-    trace.vector_at(begin, xi);
-    for (std::size_t t = begin; t < end; ++t) {
-      // xf of transition t is xi of transition t+1: one gather per step.
-      trace.vector_at(t + 1, xf);
-      const double cycle =
-          design.accumulate_ff(xi, xf, slot.per_instance, scratch);
-      slot.peak = std::max(slot.peak, cycle);
-      std::swap(xi, xf);
+    // cycle[t - begin] is transition t's composed estimate.
+    std::vector<double> cycle(end - begin, 0.0);
+    std::vector<std::uint64_t> xi(PowerModel::kBlockGroups * max_inputs);
+    std::vector<std::uint64_t> xf(PowerModel::kBlockGroups * max_inputs);
+    power::BlockScratch scratch;
+    double values[kBlock];
+    // Instance-major: instance i's slot sums its values in transition
+    // order, and each cycle total folds 0.0 + v_0 + v_1 + ... in instance
+    // order — the association of the per-transition estimate_ff.
+    for (std::size_t i = 0; i < design.num_instances(); ++i) {
+      const PowerModel& model = design.instance_model(i);
+      const std::vector<std::size_t>& input_map = design.instance_input_map(i);
+      double& sum = slot.per_instance[i];
+      for (std::size_t base = begin; base < end; base += kBlock) {
+        const std::size_t m = std::min(kBlock, end - base);
+        power::pack_block(trace, input_map, base, m, xi, xf);
+        model.estimate_block(xi, xf, m, {values, m}, scratch);
+        double* cycle_block = cycle.data() + (base - begin);
+        for (std::size_t t = 0; t < m; ++t) {
+          sum += values[t];
+          cycle_block[t] += values[t];
+        }
+      }
     }
+    for (const double v : cycle) slot.peak = std::max(slot.peak, v);
   };
   if (pool != nullptr) {
     pool->run_indexed(chunks, run_chunk);

@@ -2,9 +2,16 @@
 //
 // The transition stream is split into fixed-width chunks whose boundaries
 // do not depend on the shard count; each chunk accumulates into its own
-// slot (per-instance partial totals + chunk peak) with per-shard scratch,
-// and slots are reduced in chunk order afterwards. Totals are therefore
-// bit-identical for any pool size (the PR 1/6 determinism discipline).
+// slot (per-instance partial totals + chunk peak), and slots are reduced in
+// chunk order afterwards. Totals are therefore bit-identical for any pool
+// size.
+//
+// Within a chunk every instance is evaluated 512 transitions at a time:
+// its bus window is gathered straight off the packed trace (pack_block) and
+// handed to PowerModel::estimate_block, which for ADD models is one packed
+// sweep of the compiled diagram. Instance i's values are summed into its
+// slot in transition order, and into a per-chunk cycle array in instance
+// order, so every sum has the association of a per-transition loop.
 //
 // The chip total is defined as the left-fold of the per-leaf totals in
 // leaf (DFS) order — the same association Chip::subtree_total uses — so
@@ -21,7 +28,8 @@
 namespace cfpm::chip {
 
 /// Transitions per chunk; fixed so shard boundaries never depend on the
-/// pool size.
+/// pool size. A multiple of PowerModel::kBlockTransitions, so no block
+/// straddles two chunks.
 inline constexpr std::size_t kTraceChunk = 1024;
 
 struct ChipTraceResult {

@@ -367,51 +367,36 @@ double AddPowerModel::estimate_ff(std::span<const std::uint8_t> xi,
   return function_.eval(assignment);
 }
 
-TraceEstimate AddPowerModel::estimate_trace(const sim::InputSequence& seq,
-                                            ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs_);
-  const dd::CompiledDd& compiled = *compiled_;
-  // Hoist the input -> diagram-variable mapping out of the hot loop.
-  std::vector<std::uint32_t> vi(num_inputs_), vf(num_inputs_);
-  for (std::uint32_t k = 0; k < num_inputs_; ++k) {
-    vi[k] = var_of_xi(k);
-    vf[k] = var_of_xf(k);
+void AddPowerModel::estimate_block(std::span<const std::uint64_t> xi_words,
+                                   std::span<const std::uint64_t> xf_words,
+                                   std::size_t count, std::span<double> out,
+                                   BlockScratch& scratch) const {
+  constexpr std::size_t W = kBlockGroups;
+  static_assert(W == dd::CompiledDd::kPackedGroups,
+                "block operands use the packed sweep's stride");
+  CFPM_REQUIRE(count >= 1 && count <= kBlockTransitions &&
+               out.size() >= count);
+  CFPM_REQUIRE(xi_words.size() >= W * num_inputs_ &&
+               xf_words.size() >= W * num_inputs_);
+  if (scratch.bits.size() < W * 2 * num_inputs_) {
+    scratch.bits.resize(W * 2 * num_inputs_);
   }
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [&](std::size_t begin, std::size_t end, double& total, double& peak) {
-        // The sequence's bit-packed streams ARE the word-transposed
-        // assignment blocks the packed evaluator consumes — transition t's
-        // initial state of input k is bit t of stream k and its final
-        // state is bit t+1 — so the whole gather is two window64 reads
-        // per input per 64 transitions. Blocks of kPackedGroups groups are
-        // fed to the packed wide sweep; per-value results and the
-        // t-ascending accumulation below are bit-identical to the
-        // one-group path (kTraceChunk is a multiple of 64*kPackedGroups,
-        // so chunk boundaries never split a wide block unevenly between
-        // runs of different width).
-        constexpr std::size_t W = dd::CompiledDd::kPackedGroups;
-        static_assert(kTraceChunk % (64 * W) == 0,
-                      "chunk boundaries must not split a wide block");
-        std::vector<std::uint64_t> bits(W * 2 * num_inputs_);
-        std::vector<std::uint64_t> scratch;
-        double values[64 * W];
-        for (std::size_t base = begin; base < end; base += 64 * W) {
-          const std::size_t m = std::min<std::size_t>(64 * W, end - base);
-          const std::size_t groups = (m + 63) / 64;
-          for (std::uint32_t k = 0; k < num_inputs_; ++k) {
-            for (std::size_t w = 0; w < groups; ++w) {
-              bits[W * vi[k] + w] = seq.window64(k, base + 64 * w);
-              bits[W * vf[k] + w] = seq.window64(k, base + 64 * w + 1);
-            }
-          }
-          compiled.eval_packed_wide(bits.data(), m, values, scratch);
-          for (std::size_t t = 0; t < m; ++t) {
-            total += values[t];
-            peak = std::max(peak, values[t]);
-          }
-        }
-      });
+  // The operands already are word-transposed assignment blocks; only their
+  // row order differs from the diagram's variable order. map_var is closed
+  // form, so no per-model table is kept: a pair of small long-lived vectors
+  // per model fragmented the heap enough to raise the peak RSS of
+  // many-model runs measurably.
+  const std::size_t groups = (count + 63) / 64;
+  std::uint64_t* bits = scratch.bits.data();
+  for (std::uint32_t k = 0; k < num_inputs_; ++k) {
+    const std::size_t vi = map_var(order_, k, false, num_inputs_);
+    const std::size_t vf = map_var(order_, k, true, num_inputs_);
+    for (std::size_t w = 0; w < groups; ++w) {
+      bits[W * vi + w] = xi_words[W * k + w];
+      bits[W * vf + w] = xf_words[W * k + w];
+    }
+  }
+  compiled_->eval_packed_wide(bits, count, out.data(), scratch.masks);
 }
 
 std::vector<double> AddPowerModel::input_sensitivity_ff() const {

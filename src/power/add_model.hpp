@@ -118,11 +118,14 @@ class AddPowerModel final : public PowerModel {
   std::size_t num_inputs() const override { return num_inputs_; }
   double worst_case_ff() const override { return function_.max_value(); }
 
-  /// Batch evaluation on the compiled flat-array snapshot of the ADD:
-  /// per-pattern values are bit-identical to estimate_ff, chunk order is
-  /// fixed, so the result matches the scalar path exactly for any pool.
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
+  /// One packed sweep of the compiled flat-array snapshot of the ADD:
+  /// scatters the operands into diagram-variable order and evaluates the
+  /// whole block at once, bit-identical to estimate_ff per transition.
+  /// Allocation-free once `scratch` has grown to this model.
+  void estimate_block(std::span<const std::uint64_t> xi_words,
+                      std::span<const std::uint64_t> xf_words,
+                      std::size_t count, std::span<double> out,
+                      BlockScratch& scratch) const override;
 
   // Model introspection --------------------------------------------------------
   /// The flattened evaluation snapshot (compiled once at construction;

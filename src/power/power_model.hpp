@@ -9,6 +9,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "sim/sequence.hpp"
 #include "support/thread_pool.hpp"
@@ -26,6 +27,15 @@ struct TraceEstimate {
     return transitions == 0 ? 0.0
                             : total_ff / static_cast<double>(transitions);
   }
+};
+
+/// Caller-owned buffers for PowerModel::estimate_block. Reusing one per
+/// thread keeps a block loop allocation-free once it has grown to the
+/// widest model it serves; models only ever touch the caller's scratch.
+struct BlockScratch {
+  std::vector<std::uint64_t> bits;   ///< operands in diagram-variable order
+  std::vector<std::uint64_t> masks;  ///< packed-sweep reach masks
+  std::vector<std::uint8_t> xi, xf;  ///< one unpacked transition
 };
 
 class PowerModel {
@@ -49,6 +59,27 @@ class PowerModel {
   /// pattern-independent worst case of this estimator).
   virtual double worst_case_ff() const = 0;
 
+  // ----- block evaluation ---------------------------------------------------
+
+  /// Words per input in an estimate_block operand; equals the group count
+  /// of the compiled diagram's packed sweep (CompiledDd::kPackedGroups).
+  static constexpr std::size_t kBlockGroups = 8;
+  /// Most transitions one estimate_block call takes.
+  static constexpr std::size_t kBlockTransitions = 64 * kBlockGroups;
+
+  /// Estimates `count` (1..kBlockTransitions) transitions into
+  /// out[0..count). Operands are packed per model input in the
+  /// InputSequence::window64 layout: bit j of xi_words[kBlockGroups*k + w]
+  /// is input k's initial value in transition 64w+j, and xf_words holds the
+  /// final values likewise (see pack_block). Every out[t] is bit-identical
+  /// to estimate_ff on the unpacked transition. The default unpacks and
+  /// calls estimate_ff once per transition; the ADD model runs one packed
+  /// sweep of its compiled diagram instead.
+  virtual void estimate_block(std::span<const std::uint64_t> xi_words,
+                              std::span<const std::uint64_t> xf_words,
+                              std::size_t count, std::span<double> out,
+                              BlockScratch& scratch) const;
+
   // ----- sequence-level evaluation (RTL simulation loop) -------------------
 
   /// Transitions per work chunk of estimate_trace. Chunk boundaries depend
@@ -59,8 +90,9 @@ class PowerModel {
 
   /// Evaluates every transition of `seq` in one pass, sharding fixed
   /// kTraceChunk-sized chunks across `pool` when one is given. The default
-  /// implementation loops estimate_ff; models with a batch evaluator
-  /// (the compiled ADD model, Con, Lin) override it.
+  /// implementation packs each chunk into estimate_block operands and sums
+  /// the values in transition order; Con and Lin override it with closed
+  /// forms over the packed bits.
   virtual TraceEstimate estimate_trace(const sim::InputSequence& seq,
                                        ThreadPool* pool = nullptr) const;
 
@@ -84,6 +116,17 @@ class PowerModel {
       const std::function<void(std::size_t, std::size_t, double&, double&)>&
           chunk_fn) const;
 };
+
+/// Packs transitions [base, base + count) of `seq` into estimate_block
+/// operands: operand input k reads sequence input inputs[k], so a model
+/// bound to a window of a wider bus gathers its own bits directly.
+/// Requires count <= PowerModel::kBlockTransitions, base + count <=
+/// seq.num_transitions(), and kBlockGroups * inputs.size() words in each
+/// of xi_words and xf_words.
+void pack_block(const sim::InputSequence& seq,
+                std::span<const std::size_t> inputs, std::size_t base,
+                std::size_t count, std::span<std::uint64_t> xi_words,
+                std::span<std::uint64_t> xf_words);
 
 /// Supply voltage context to convert capacitance to energy/power.
 struct SupplyConfig {

@@ -14,7 +14,6 @@ void RtlDesign::add_instance(std::string name,
   for (std::size_t bit : input_map) {
     bus_width_ = std::max(bus_width_, bit + 1);
   }
-  max_inputs_ = std::max(max_inputs_, input_map.size());
   instances_.push_back(Instance{std::move(name), std::move(model),
                                 std::move(input_map)});
 }
@@ -35,72 +34,28 @@ const std::vector<std::size_t>& RtlDesign::instance_input_map(
   return instances_[i].input_map;
 }
 
-double RtlDesign::instance_estimate_ff(const Instance& inst,
-                                       std::span<const std::uint8_t> bus_xi,
-                                       std::span<const std::uint8_t> bus_xf,
-                                       EvalScratch& scratch) const {
-  const std::size_t n = inst.input_map.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    scratch.xi_[k] = bus_xi[inst.input_map[k]];
-    scratch.xf_[k] = bus_xf[inst.input_map[k]];
-  }
-  return inst.model->estimate_ff({scratch.xi_.data(), n},
-                                 {scratch.xf_.data(), n});
-}
-
-double RtlDesign::estimate_ff(std::span<const std::uint8_t> bus_xi,
-                              std::span<const std::uint8_t> bus_xf,
-                              EvalScratch& scratch) const {
-  CFPM_REQUIRE(bus_xi.size() >= bus_width_ && bus_xf.size() >= bus_width_);
-  // Grows once to the widest instance, then every call is allocation-free.
-  if (scratch.xi_.size() < max_inputs_) {
-    scratch.xi_.resize(max_inputs_);
-    scratch.xf_.resize(max_inputs_);
-  }
-  double total = 0.0;
-  for (const Instance& inst : instances_) {
-    total += instance_estimate_ff(inst, bus_xi, bus_xf, scratch);
-  }
-  return total;
-}
-
-double RtlDesign::accumulate_ff(std::span<const std::uint8_t> bus_xi,
-                                std::span<const std::uint8_t> bus_xf,
-                                std::span<double> accum,
-                                EvalScratch& scratch) const {
-  CFPM_REQUIRE(bus_xi.size() >= bus_width_ && bus_xf.size() >= bus_width_);
-  CFPM_REQUIRE(accum.size() >= instances_.size());
-  if (scratch.xi_.size() < max_inputs_) {
-    scratch.xi_.resize(max_inputs_);
-    scratch.xf_.resize(max_inputs_);
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    const double c = instance_estimate_ff(instances_[i], bus_xi, bus_xf,
-                                          scratch);
-    accum[i] += c;
-    total += c;
-  }
-  return total;
-}
-
 double RtlDesign::estimate_ff(std::span<const std::uint8_t> bus_xi,
                               std::span<const std::uint8_t> bus_xf) const {
-  EvalScratch scratch;
-  return estimate_ff(bus_xi, bus_xf, scratch);
+  double total = 0.0;
+  for (const double v : estimate_breakdown_ff(bus_xi, bus_xf)) total += v;
+  return total;
 }
 
 std::vector<double> RtlDesign::estimate_breakdown_ff(
     std::span<const std::uint8_t> bus_xi,
     std::span<const std::uint8_t> bus_xf) const {
   CFPM_REQUIRE(bus_xi.size() >= bus_width_ && bus_xf.size() >= bus_width_);
-  EvalScratch scratch;
-  scratch.xi_.resize(max_inputs_);
-  scratch.xf_.resize(max_inputs_);
   std::vector<double> breakdown;
   breakdown.reserve(instances_.size());
+  std::vector<std::uint8_t> xi, xf;
   for (const Instance& inst : instances_) {
-    breakdown.push_back(instance_estimate_ff(inst, bus_xi, bus_xf, scratch));
+    xi.clear();
+    xf.clear();
+    for (const std::size_t bit : inst.input_map) {
+      xi.push_back(bus_xi[bit]);
+      xf.push_back(bus_xf[bit]);
+    }
+    breakdown.push_back(inst.model->estimate_ff(xi, xf));
   }
   return breakdown;
 }

@@ -6,9 +6,11 @@
 // bounds of the components sum to a much tighter conservative system bound
 // than the sum of the components' global worst cases.
 //
-// Streaming callers (millions of transitions) use the EvalScratch overloads:
-// the scratch owns the per-instance gather buffers, so the hot loop performs
-// no allocation at all. The scratch-free overloads remain for one-shot use.
+// The per-transition methods here are the one-shot and reporting API.
+// Streaming a trace through a design is chip::evaluate_trace's job: it
+// gathers each instance's bus window straight off the packed sequence and
+// evaluates 512 transitions per PowerModel::estimate_block call, with the
+// same per-cycle fold (instance order) as estimate_ff.
 #pragma once
 
 #include <memory>
@@ -22,16 +24,6 @@ namespace cfpm::power {
 
 class RtlDesign {
  public:
-  /// Reusable per-caller gather buffers for the streaming estimate paths.
-  /// One scratch per thread: RtlDesign never mutates it concurrently, so a
-  /// sharded evaluator gives each shard its own.
-  class EvalScratch {
-   private:
-    friend class RtlDesign;
-    std::vector<std::uint8_t> xi_;
-    std::vector<std::uint8_t> xf_;
-  };
-
   /// Binds `model`'s k-th input to global bus bit input_map[k]. The design
   /// shares ownership of the model, so one library model can back many
   /// instances (the library-macro reuse scenario of the paper).
@@ -40,28 +32,14 @@ class RtlDesign {
 
   std::size_t num_instances() const noexcept { return instances_.size(); }
   std::size_t bus_width() const noexcept { return bus_width_; }
-  /// Width of the widest instance (what an EvalScratch grows to).
-  std::size_t max_instance_inputs() const noexcept { return max_inputs_; }
   const std::string& instance_name(std::size_t i) const;
   const PowerModel& instance_model(std::size_t i) const;
   const std::vector<std::size_t>& instance_input_map(std::size_t i) const;
 
-  /// Total estimated switching capacitance for one bus transition.
+  /// Total estimated switching capacitance for one bus transition: the
+  /// left-fold of estimate_breakdown_ff in instance order.
   double estimate_ff(std::span<const std::uint8_t> bus_xi,
                      std::span<const std::uint8_t> bus_xf) const;
-
-  /// Allocation-free total for one bus transition (streaming hot path).
-  double estimate_ff(std::span<const std::uint8_t> bus_xi,
-                     std::span<const std::uint8_t> bus_xf,
-                     EvalScratch& scratch) const;
-
-  /// Adds each instance's estimate for one bus transition into accum[i]
-  /// (accum.size() >= num_instances()) and returns this transition's total,
-  /// summed in instance order. Allocation-free; the chip evaluator's
-  /// per-shard accumulation path.
-  double accumulate_ff(std::span<const std::uint8_t> bus_xi,
-                       std::span<const std::uint8_t> bus_xf,
-                       std::span<double> accum, EvalScratch& scratch) const;
 
   /// Per-instance breakdown for one bus transition (reporting API).
   std::vector<double> estimate_breakdown_ff(
@@ -83,14 +61,8 @@ class RtlDesign {
     std::vector<std::size_t> input_map;
   };
 
-  double instance_estimate_ff(const Instance& inst,
-                              std::span<const std::uint8_t> bus_xi,
-                              std::span<const std::uint8_t> bus_xf,
-                              EvalScratch& scratch) const;
-
   std::vector<Instance> instances_;
   std::size_t bus_width_ = 0;
-  std::size_t max_inputs_ = 0;
 };
 
 }  // namespace cfpm::power

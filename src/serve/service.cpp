@@ -360,6 +360,12 @@ ChipReply evaluate_chip_trace(const ChipRequest& request,
                               ThreadPool* pool) {
   check_chip_version(request.api_version);
   const cfpm::chip::ChipSpec spec = parse_chip_spec(request.spec);
+  // Same contract as generate_workload: a trace needs two vectors to make
+  // its first transition, and is rejected before any library build.
+  if (trace.length() < 2) {
+    throw UsageError("trace must have at least 2 vectors, got " +
+                     std::to_string(trace.length()));
+  }
   if (trace.num_inputs() < spec.bus_width()) {
     throw UsageError("trace is " + std::to_string(trace.num_inputs()) +
                      " bits wide; chip " + spec.to_string() + " needs " +

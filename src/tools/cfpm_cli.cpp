@@ -36,6 +36,7 @@
 #include "power/factory.hpp"
 #include "power/rtl_io.hpp"
 #include "chip/chip.hpp"
+#include "chip/evaluator.hpp"
 #include "chip/trace_text.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -642,22 +643,11 @@ int cmd_rtl(const Args& a) {
   const auto trace = service::generate_workload(
       {a.sp, a.st}, d.design.bus_width(), a.vectors);
 
-  std::vector<std::uint8_t> xi(d.design.bus_width()), xf(d.design.bus_width());
-  std::vector<double> per_instance(d.design.num_instances(), 0.0);
-  double total = 0.0, peak = 0.0;
-  for (std::size_t t = 0; t + 1 < trace.length(); ++t) {
-    trace.vector_at(t, xi);
-    trace.vector_at(t + 1, xf);
-    const auto breakdown = d.design.estimate_breakdown_ff(xi, xf);
-    double cycle = 0.0;
-    for (std::size_t i = 0; i < breakdown.size(); ++i) {
-      per_instance[i] += breakdown[i];
-      cycle += breakdown[i];
-    }
-    total += cycle;
-    peak = std::max(peak, cycle);
-  }
-  const double cycles = static_cast<double>(trace.num_transitions());
+  const cfpm::chip::ChipTraceResult r =
+      cfpm::chip::evaluate_trace(d.design, trace);
+  const std::vector<double>& per_instance = r.per_instance_ff;
+  const double total = r.total_ff;
+  const double cycles = static_cast<double>(r.transitions);
   const power::SupplyConfig supply{a.vdd};
 
   std::cout << "design  : " << d.name << " (" << d.design.num_instances()
@@ -667,7 +657,7 @@ int cmd_rtl(const Args& a) {
   std::cout << "average : " << total / cycles << " fF/cycle = "
             << supply.power_uw(total / cycles, 10.0) << " uW @ 100 MHz, "
             << a.vdd << " V\n";
-  std::cout << "peak    : " << peak << " fF"
+  std::cout << "peak    : " << r.peak_ff << " fF"
             << (d.design.is_upper_bound() ? " (conservative bound)" : "")
             << "\n";
   eval::TextTable table({"instance", "macro", "fF/cycle", "share(%)"});

@@ -7,10 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "chip/evaluator.hpp"
+#include "netlist/generators.hpp"
+#include "power/add_model.hpp"
+#include "power/baselines.hpp"
 #include "serve/service.hpp"
 #include "stats/markov.hpp"
 #include "support/error.hpp"
@@ -190,6 +196,102 @@ TEST(ChipEvaluator, ShardCountNeverChangesTheBits) {
   }
 }
 
+/// The evaluator's contract spelled out per transition: every instance's
+/// estimate_ff on its gathered bus window, summed in transition order
+/// within each kTraceChunk chunk and then chunk by chunk; the total folds
+/// the per-instance sums in instance order; the peak is the largest cycle
+/// total, each folded 0.0 + v_0 + v_1 + ... in instance order.
+ChipTraceResult per_transition_reference(const power::RtlDesign& design,
+                                         const sim::InputSequence& trace) {
+  ChipTraceResult ref;
+  ref.transitions = trace.num_transitions();
+  ref.per_instance_ff.assign(design.num_instances(), 0.0);
+  std::vector<double> chunk_sum(design.num_instances(), 0.0);
+  std::vector<std::uint8_t> xi, xf;
+  for (std::size_t t = 0; t < ref.transitions; ++t) {
+    double cycle = 0.0;
+    for (std::size_t i = 0; i < design.num_instances(); ++i) {
+      xi.clear();
+      xf.clear();
+      for (const std::size_t bit : design.instance_input_map(i)) {
+        xi.push_back(trace.bit(bit, t) ? 1 : 0);
+        xf.push_back(trace.bit(bit, t + 1) ? 1 : 0);
+      }
+      const double v = design.instance_model(i).estimate_ff(xi, xf);
+      chunk_sum[i] += v;
+      cycle += v;
+    }
+    ref.peak_ff = std::max(ref.peak_ff, cycle);
+    if ((t + 1) % kTraceChunk == 0 || t + 1 == ref.transitions) {
+      for (std::size_t i = 0; i < chunk_sum.size(); ++i) {
+        ref.per_instance_ff[i] += chunk_sum[i];
+        chunk_sum[i] = 0.0;
+      }
+    }
+  }
+  for (const double v : ref.per_instance_ff) ref.total_ff += v;
+  return ref;
+}
+
+/// A design over the demo bus mixing one ADD leaf with Lin and Con leaves,
+/// so the evaluator runs both the packed override of estimate_block and
+/// its default per-transition fallback in one chunk. The ADD terminals of
+/// the standard library are dyadic, so their sums are exact in any order;
+/// the decimal Lin and Con values round, which makes a changed association
+/// visible in the totals.
+const power::RtlDesign& mixed_design() {
+  static const power::RtlDesign d = [] {
+    power::AddModelOptions opt;
+    opt.max_nodes = 0;
+    auto add = std::make_shared<power::AddPowerModel>(
+        power::AddPowerModel::build(netlist::gen::ripple_carry_adder(2),
+                                    netlist::GateLibrary::standard(), opt));
+    auto lin = std::make_shared<power::LinearModel>(
+        std::vector<double>{1.1, 3.3, 0.7, 7.9, 2.3});
+    auto con = std::make_shared<power::ConstantModel>(4.7, 3);
+    power::RtlDesign design;
+    design.add_instance("add", add, {0, 1, 2, 3, 4});
+    design.add_instance("lin", lin, {3, 9, 4, 15});
+    design.add_instance("con", con, {2, 7, 11});
+    design.add_instance("add2", add, {10, 11, 12, 13, 14});
+    return design;
+  }();
+  return d;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ChipEvaluator, MatchesPerTransitionReferenceBitwise) {
+  const Chip& c = demo_chip();
+  const std::pair<const char*, const power::RtlDesign*> designs[] = {
+      {"avg", &c.avg_design()},
+      {"bound", &c.bound_design()},
+      {"mixed", &mixed_design()}};
+  for (const std::size_t vectors :
+       {2u, 64u, 65u, 513u, 1025u, 3u * 1024u + 17u}) {
+    const sim::InputSequence trace = demo_trace(vectors);
+    for (const auto& [name, design] : designs) {
+      const ChipTraceResult ref = per_transition_reference(*design, trace);
+      for (const std::size_t shards : {1u, 2u, 3u}) {
+        ThreadPool pool(shards);
+        const ChipTraceResult r = evaluate_trace(*design, trace, &pool);
+        const std::string where = std::string(name) + " vectors " +
+                                  std::to_string(vectors) + " shards " +
+                                  std::to_string(shards);
+        EXPECT_EQ(r.transitions, vectors - 1) << where;
+        EXPECT_EQ(bits_of(r.total_ff), bits_of(ref.total_ff)) << where;
+        EXPECT_EQ(bits_of(r.peak_ff), bits_of(ref.peak_ff)) << where;
+        ASSERT_EQ(r.per_instance_ff.size(), ref.per_instance_ff.size());
+        for (std::size_t i = 0; i < ref.per_instance_ff.size(); ++i) {
+          EXPECT_EQ(bits_of(r.per_instance_ff[i]),
+                    bits_of(ref.per_instance_ff[i]))
+              << where << " instance " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(ChipBuild, ExpiredDeadlineSurfacesLadderDegradation) {
   ChipBuildOptions options;
   options.deadline_ms = 0;  // already expired: every macro rides the ladder
@@ -288,6 +390,11 @@ TEST(ChipService, ExplicitTraceMustSpanTheBus) {
   stats::MarkovSequenceGenerator gen({0.5, 0.5}, 0x5);
   const sim::InputSequence narrow = gen.generate(15, 32);  // bus is 16
   EXPECT_THROW(service::evaluate_chip_trace(request, narrow),
+               service::UsageError);
+
+  // One vector makes no transition: rejected before the library build.
+  const sim::InputSequence single = gen.generate(16, 1);
+  EXPECT_THROW(service::evaluate_chip_trace(request, single),
                service::UsageError);
 
   const sim::InputSequence wide = gen.generate(16, 32);

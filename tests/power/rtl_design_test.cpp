@@ -1,16 +1,18 @@
 // Edge cases of RtlDesign composition: empty designs, shared-model
 // aliasing with overlapping bus windows, sparse input maps, oversized bus
-// spans, and bit-exact agreement between the one-shot, scratch, accumulate
-// and breakdown evaluation paths (the chip evaluator depends on the
-// left-fold association being identical in every path).
+// spans, and bit-exact agreement between the one-shot, breakdown and
+// streaming (chip::evaluate_trace) evaluation paths (the chip evaluator
+// depends on the left-fold association being identical in every path).
 #include "power/rtl.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "chip/evaluator.hpp"
 #include "netlist/generators.hpp"
 #include "power/add_model.hpp"
 #include "support/error.hpp"
@@ -42,16 +44,20 @@ TEST(RtlDesignEdge, ZeroInstanceDesign) {
   RtlDesign design;
   EXPECT_EQ(design.num_instances(), 0u);
   EXPECT_EQ(design.bus_width(), 0u);
-  EXPECT_EQ(design.max_instance_inputs(), 0u);
 
   // Empty spans satisfy size() >= bus_width() == 0.
   const std::span<const std::uint8_t> empty;
   EXPECT_EQ(design.estimate_ff(empty, empty), 0.0);
   EXPECT_TRUE(design.estimate_breakdown_ff(empty, empty).empty());
 
-  RtlDesign::EvalScratch scratch;
-  EXPECT_EQ(design.estimate_ff(empty, empty, scratch), 0.0);
-  EXPECT_EQ(design.accumulate_ff(empty, empty, {}, scratch), 0.0);
+  // The streaming evaluator accepts any trace and reports nothing.
+  const sim::InputSequence trace = sim::InputSequence::from_vectors(
+      {{0, 1}, {1, 0}, {1, 1}});
+  const chip::ChipTraceResult r = chip::evaluate_trace(design, trace);
+  EXPECT_EQ(r.transitions, 2u);
+  EXPECT_TRUE(r.per_instance_ff.empty());
+  EXPECT_EQ(r.total_ff, 0.0);
+  EXPECT_EQ(r.peak_ff, 0.0);
 
   // Vacuously an upper bound with a zero worst case.
   EXPECT_TRUE(design.is_upper_bound());
@@ -135,15 +141,16 @@ TEST(RtlDesignEdge, UndersizedSpansAndAccumThrow) {
   EXPECT_THROW(design.estimate_ff(wide, narrow), ContractError);
   EXPECT_THROW(design.estimate_breakdown_ff(narrow, narrow), ContractError);
 
-  RtlDesign::EvalScratch scratch;
-  std::vector<double> accum;  // needs >= num_instances() slots
-  EXPECT_THROW(design.accumulate_ff(wide, wide, accum, scratch),
-               ContractError);
+  EXPECT_THROW(design.estimate_breakdown_ff(wide, narrow), ContractError);
+
+  // A trace narrower than the bus cannot be streamed either.
+  const sim::InputSequence narrow_trace(4, 8);
+  EXPECT_THROW(chip::evaluate_trace(design, narrow_trace), ContractError);
 }
 
 TEST(RtlDesignEdge, AllEvaluationPathsAgreeBitwise) {
-  // One-shot, scratch, accumulate and breakdown must produce bit-identical
-  // totals: the sharded chip evaluator's determinism contract rests on the
+  // One-shot, breakdown and streaming evaluation must produce bit-identical
+  // numbers: the sharded chip evaluator's determinism contract rests on the
   // per-transition fold being the same in every path.
   const Netlist adder = netlist::gen::ripple_carry_adder(2);  // 5 inputs
   const Netlist cmp = netlist::gen::magnitude_comparator(2);  // 4 inputs
@@ -154,19 +161,16 @@ TEST(RtlDesignEdge, AllEvaluationPathsAgreeBitwise) {
   design.add_instance("c0", c, {3, 4, 5, 6});
   design.add_instance("a1", a, {5, 6, 7, 8, 9});
 
-  RtlDesign::EvalScratch scratch;
-  std::vector<double> accum(design.num_instances(), 0.0);
-  std::vector<double> summed(design.num_instances(), 0.0);
   Xoshiro256 rng(0xbeef);
-  for (int trial = 0; trial < 64; ++trial) {
-    const auto xi = random_bits(10, rng);
-    const auto xf = random_bits(10, rng);
+  std::vector<std::vector<std::uint8_t>> vectors;
+  for (int t = 0; t < 65; ++t) vectors.push_back(random_bits(10, rng));
+
+  std::vector<double> summed(design.num_instances(), 0.0);
+  double peak = 0.0;
+  for (std::size_t t = 0; t + 1 < vectors.size(); ++t) {
+    const auto& xi = vectors[t];
+    const auto& xf = vectors[t + 1];
     const double plain = design.estimate_ff(xi, xf);
-    EXPECT_EQ(design.estimate_ff(xi, xf, scratch), plain);
-
-    const double from_accum = design.accumulate_ff(xi, xf, accum, scratch);
-    EXPECT_EQ(from_accum, plain);
-
     const auto breakdown = design.estimate_breakdown_ff(xi, xf);
     ASSERT_EQ(breakdown.size(), 3u);
     double fold = 0.0;
@@ -175,11 +179,19 @@ TEST(RtlDesignEdge, AllEvaluationPathsAgreeBitwise) {
       summed[i] += breakdown[i];
     }
     EXPECT_EQ(fold, plain);
+    peak = std::max(peak, plain);
   }
-  // The running accumulator matches per-instance sums of the breakdowns.
-  for (std::size_t i = 0; i < accum.size(); ++i) {
-    EXPECT_EQ(accum[i], summed[i]);
+  // The streaming evaluator's per-instance totals are the per-transition
+  // breakdowns summed in transition order, and its peak is the largest
+  // one-shot total.
+  const chip::ChipTraceResult r = chip::evaluate_trace(
+      design, sim::InputSequence::from_vectors(vectors));
+  ASSERT_EQ(r.per_instance_ff.size(), summed.size());
+  for (std::size_t i = 0; i < summed.size(); ++i) {
+    EXPECT_EQ(r.per_instance_ff[i], summed[i]) << "instance " << i;
   }
+  EXPECT_EQ(r.total_ff, (summed[0] + summed[1]) + summed[2]);
+  EXPECT_EQ(r.peak_ff, peak);
 }
 
 }  // namespace

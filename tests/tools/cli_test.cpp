@@ -363,6 +363,55 @@ TEST(Cli, FewerThanTwoVectorsIsAUsageError) {
   EXPECT_EQ(r.output.find("nan"), std::string::npos) << r.output;
 }
 
+TEST(Cli, ChipTraceOfOneVectorIsAUsageError) {
+  // One bus row makes no transition. The explicit-trace path must refuse it
+  // the way --vectors 1 is refused, before building the macro library,
+  // instead of printing an all-zero composition with exit 0.
+  const std::string trace = ::testing::TempDir() + "/cli_one_row.txt";
+  {
+    std::ofstream out(trace);
+    out << "# 24-bit bus, 1 vector\n" << std::string(24, '1') << "\n";
+  }
+  const auto r = run("chip --spec 2x3x12 --trace " + trace);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("at least 2 vectors"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("exact"), std::string::npos) << r.output;
+  std::remove(trace.c_str());
+}
+
+TEST(Cli, ChipAndRtlPrintThePinnedExactLines) {
+  // Pins the composed numbers: the chip `exact` lines print shortest
+  // round-trip doubles, so any change in a per-transition value or in the
+  // association of a sum shows up here. A deliberate change must update
+  // these pins in the same change.
+  struct Pin {
+    const char* args;
+    const char* line;
+  };
+  const Pin pins[] = {
+      {"chip --spec 4x6x16 --vectors 2000",
+       "exact   : total=2153687.6875 average=1077.3825350175086 "
+       "peak=1609.875 bound-peak=1830 worst-sum=3272"},
+      {"chip --spec 2x3x12 --vectors 3000 --sp 0.3 --st 0.4 --shards 3",
+       "exact   : total=468541 average=156.2324108036012 peak=350 "
+       "bound-peak=350 worst-sum=588"},
+  };
+  for (const Pin& pin : pins) {
+    const auto r = run(pin.args);
+    ASSERT_EQ(r.exit_code, 0) << pin.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string(pin.line) + "\n"), std::string::npos)
+        << pin.args << ":\n" << r.output;
+  }
+  const auto rtl = run(std::string("rtl ") + CFPM_DATA_DIR +
+                       "/datapath.rtl --st 0.3");
+  ASSERT_EQ(rtl.exit_code, 0) << rtl.output;
+  EXPECT_NE(rtl.output.find("average : 254.771 fF/cycle"), std::string::npos)
+      << rtl.output;
+  EXPECT_NE(rtl.output.find("peak    : 482.844 fF\n"), std::string::npos)
+      << rtl.output;
+}
+
 TEST(Cli, SimdFlagIsGone) {
   const auto r = run("estimate model.cfpm --simd scalar");
   EXPECT_EQ(r.exit_code, 2);
