@@ -1,17 +1,16 @@
 // Streaming sharded trace evaluation for composed designs.
 //
-// The transition stream is split into fixed-width chunks whose boundaries
-// do not depend on the shard count; each chunk accumulates into its own
-// slot (per-instance partial totals + chunk peak), and slots are reduced in
-// chunk order afterwards. Totals are therefore bit-identical for any pool
-// size.
-//
-// Within a chunk every instance is evaluated 512 transitions at a time:
-// its bus window is gathered straight off the packed trace (pack_block) and
-// handed to PowerModel::estimate_block, which for ADD models is one packed
-// sweep of the compiled diagram. Instance i's values are summed into its
-// slot in transition order, and into a per-chunk cycle array in instance
-// order, so every sum has the association of a per-transition loop.
+// A design is a list of (model, bus window) instances, and the evaluator
+// hands that list to power::stream_trace, the one chunked trace loop that
+// PowerModel::estimate_trace uses too. The transition stream is split into
+// fixed kTraceChunk-wide chunks whose boundaries do not depend on the
+// shard count; within a chunk every instance is evaluated 512 transitions
+// at a time (pack_block + PowerModel::estimate_block, one packed sweep of
+// the compiled diagram for ADD models). Instance i's values are summed in
+// transition order, and into a per-chunk cycle array in instance order;
+// chunk partials are reduced in chunk order. Totals and peaks are
+// therefore bit-identical for any pool size and equal a per-transition
+// loop's.
 //
 // The chip total is defined as the left-fold of the per-leaf totals in
 // leaf (DFS) order — the same association Chip::subtree_total uses — so
@@ -31,6 +30,8 @@ namespace cfpm::chip {
 /// pool size. A multiple of PowerModel::kBlockTransitions, so no block
 /// straddles two chunks.
 inline constexpr std::size_t kTraceChunk = 1024;
+static_assert(kTraceChunk % power::PowerModel::kBlockTransitions == 0,
+              "chunk boundaries must not split a block");
 
 struct ChipTraceResult {
   /// Left-fold over leaves (in instance order) of per_instance_ff.

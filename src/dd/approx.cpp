@@ -19,16 +19,19 @@ namespace {
 // file by bare arena index (the deterministic tie-break the old creation
 // id used to provide).
 
-/// Rebuilds the DAG under `root` with every node in `marked` replaced by
-/// the constant given for it. Returns a referenced plain edge.
-class Rebuilder {
+/// Rebuilds the DAG under `root` with every node in `subst` replaced by the
+/// constant given for it; unmapped terminals stay themselves. Memoised, and
+/// rebuilds the then child before the else child, so arena indices (and
+/// with them every later tie-break) are deterministic. Returns a referenced
+/// plain edge.
+class Substitution {
  public:
-  Rebuilder(DdManager* mgr,
-            const std::unordered_map<std::uint32_t, double>& marked)
-      : mgr_(mgr), marked_(marked) {}
+  Substitution(DdManager* mgr,
+               const std::unordered_map<std::uint32_t, double>& subst)
+      : mgr_(mgr), subst_(subst) {}
 
   Edge rebuild(std::uint32_t index) {
-    if (auto it = marked_.find(index); it != marked_.end()) {
+    if (auto it = subst_.find(index); it != subst_.end()) {
       return DdInternal::terminal(*mgr_, it->second);
     }
     if (DdInternal::is_terminal(*mgr_, index)) {
@@ -58,7 +61,7 @@ class Rebuilder {
 
  private:
   DdManager* mgr_;
-  const std::unordered_map<std::uint32_t, double>& marked_;
+  const std::unordered_map<std::uint32_t, double>& subst_;
   std::unordered_map<std::uint32_t, Edge> memo_;
 };
 
@@ -70,6 +73,29 @@ std::vector<std::uint32_t> internal_nodes(const DdManager& mgr,
     if (!n.is_terminal()) result.push_back(i);
   });
   return result;
+}
+
+/// Probability that a uniformly random assignment reaches each node under
+/// `root` (terminals included), in one pass over the internal nodes in
+/// level order: every parent is settled before its children.
+std::unordered_map<std::uint32_t, double> uniform_reach(
+    const DdManager& mgr, std::uint32_t root,
+    std::vector<std::uint32_t> internal) {
+  std::sort(internal.begin(), internal.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return mgr.level_of_var(DdInternal::node(mgr, a).var) <
+                     mgr.level_of_var(DdInternal::node(mgr, b).var);
+            });
+  std::unordered_map<std::uint32_t, double> reach;
+  reach.reserve(internal.size());
+  reach[root] = 1.0;
+  for (const std::uint32_t n : internal) {
+    const double p = reach[n];
+    const DdNode& rec = DdInternal::node(mgr, n);
+    reach[edge_index(rec.then_edge)] += 0.5 * p;
+    reach[edge_index(rec.else_edge)] += 0.5 * p;
+  }
+  return reach;
 }
 
 }  // namespace
@@ -114,9 +140,6 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
     const std::uint32_t root = edge_index(DdInternal::edge(current));
     std::vector<std::uint32_t> candidates = internal_nodes(*mgr, root);
     CFPM_ASSERT(!candidates.empty());
-    auto var_of = [&](std::uint32_t i) {
-      return DdInternal::node(*mgr, i).var;
-    };
     auto children_of = [&](std::uint32_t i) {
       const DdNode& n = DdInternal::node(*mgr, i);
       return std::pair<std::uint32_t, std::uint32_t>{
@@ -124,24 +147,10 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
     };
 
     // Reach probabilities are only needed for the reach-weighted metric.
-    std::unordered_map<std::uint32_t, double> reach;
-    if (metric_kind == CollapseMetric::kReachWeightedVariance) {
-      std::vector<std::uint32_t> by_level = candidates;
-      const DdManager& cmgr = *mgr;
-      std::sort(by_level.begin(), by_level.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return cmgr.level_of_var(var_of(a)) <
-                         cmgr.level_of_var(var_of(b));
-                });
-      reach.reserve(candidates.size());
-      reach[root] = 1.0;
-      for (const std::uint32_t n : by_level) {
-        const double p = reach[n];  // parents processed first (lower level)
-        const auto [t, e] = children_of(n);
-        reach[t] += 0.5 * p;
-        reach[e] += 0.5 * p;
-      }
-    }
+    const std::unordered_map<std::uint32_t, double> reach =
+        metric_kind == CollapseMetric::kReachWeightedVariance
+            ? uniform_reach(*mgr, root, candidates)
+            : std::unordered_map<std::uint32_t, double>{};
 
     // Default selection metric: the *relative* spread of the sub-function,
     // var(n)/avg(n)^2 (Eq. 7 statistics). Collapsing such a node merely
@@ -281,8 +290,8 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
     }
     CFPM_ASSERT(!marked.empty());
 
-    Rebuilder rb(mgr, marked);
-    Add next = DdInternal::make_add(mgr, rb.rebuild(root));
+    Substitution subst(mgr, marked);
+    Add next = DdInternal::make_add(mgr, subst.rebuild(root));
     const std::size_t next_size = next.size();
     total_marks += marked.size();
     stagnant = next_size < size ? 0 : stagnant + 1;
@@ -310,46 +319,6 @@ Add approximate_to(const Add& f, std::size_t max_size, ApproxMode mode,
   return approximate(f, max_size, mode, metric).function;
 }
 
-namespace {
-
-/// Rebuilds `root` with every terminal value remapped through `value_map`
-/// (keyed by terminal arena index).
-class LeafRemapper {
- public:
-  LeafRemapper(DdManager* mgr,
-               const std::unordered_map<std::uint32_t, double>& value_map)
-      : mgr_(mgr), value_map_(value_map) {}
-
-  Edge rebuild(std::uint32_t index) {
-    if (DdInternal::is_terminal(*mgr_, index)) {
-      return DdInternal::terminal(*mgr_, value_map_.at(index));
-    }
-    if (auto it = memo_.find(index); it != memo_.end()) {
-      DdInternal::ref(*mgr_, it->second);
-      return it->second;
-    }
-    const DdNode n = DdInternal::node(*mgr_, index);  // copy before recursing
-    Edge t = rebuild(edge_index(n.then_edge));
-    Edge e;
-    try {
-      e = rebuild(edge_index(n.else_edge));
-    } catch (...) {
-      DdInternal::deref(*mgr_, t);
-      throw;
-    }
-    const Edge r = DdInternal::make_node(*mgr_, n.var, t, e);  // consumes t, e
-    memo_.emplace(index, r);
-    return r;
-  }
-
- private:
-  DdManager* mgr_;
-  const std::unordered_map<std::uint32_t, double>& value_map_;
-  std::unordered_map<std::uint32_t, Edge> memo_;
-};
-
-}  // namespace
-
 Add quantize_leaves(const Add& f, std::size_t max_leaves, ApproxMode mode) {
   CFPM_REQUIRE(!f.is_null());
   CFPM_REQUIRE(max_leaves >= 1);
@@ -359,32 +328,8 @@ Add quantize_leaves(const Add& f, std::size_t max_leaves, ApproxMode mode) {
   const std::uint32_t root = edge_index(DdInternal::edge(f));
 
   // Probability mass reaching each terminal under uniform inputs.
-  std::vector<std::uint32_t> internal = internal_nodes(*mgr, root);
-  const DdManager& cmgr = *mgr;
-  std::sort(internal.begin(), internal.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return cmgr.level_of_var(DdInternal::node(cmgr, a).var) <
-                     cmgr.level_of_var(DdInternal::node(cmgr, b).var);
-            });
-  std::unordered_map<std::uint32_t, double> reach;
-  reach[root] = 1.0;
-  std::unordered_map<std::uint32_t, double> leaf_mass;
-  if (internal.empty()) {
-    leaf_mass.emplace(root, 1.0);
-  } else {
-    for (const std::uint32_t n : internal) {
-      const double p = reach[n];
-      const DdNode& rec = DdInternal::node(*mgr, n);
-      for (const std::uint32_t child :
-           {edge_index(rec.then_edge), edge_index(rec.else_edge)}) {
-        if (DdInternal::is_terminal(*mgr, child)) {
-          leaf_mass[child] += 0.5 * p;
-        } else {
-          reach[child] += 0.5 * p;
-        }
-      }
-    }
-  }
+  const std::unordered_map<std::uint32_t, double> reach =
+      uniform_reach(*mgr, root, internal_nodes(*mgr, root));
 
   // Greedy closest-pair merging on the sorted value axis.
   struct Cluster {
@@ -393,12 +338,18 @@ Add quantize_leaves(const Add& f, std::size_t max_leaves, ApproxMode mode) {
     std::vector<std::uint32_t> members;
   };
   std::vector<Cluster> clusters;
-  clusters.reserve(leaf_mass.size());
-  for (const auto& [leaf, mass] : leaf_mass) {
-    clusters.push_back({DdInternal::value(*mgr, leaf), mass, {leaf}});
+  for (const auto& [node, mass] : reach) {
+    if (DdInternal::is_terminal(*mgr, node)) {
+      clusters.push_back({DdInternal::value(*mgr, node), mass, {node}});
+    }
   }
+  // Terminals hold distinct values; the index tie-break only keeps the
+  // order independent of the map's iteration order.
   std::sort(clusters.begin(), clusters.end(),
-            [](const Cluster& a, const Cluster& b) { return a.value < b.value; });
+            [](const Cluster& a, const Cluster& b) {
+              if (a.value != b.value) return a.value < b.value;
+              return a.members[0] < b.members[0];
+            });
   while (clusters.size() > max_leaves) {
     std::size_t best = 0;
     double best_gap = clusters[1].value - clusters[0].value;
@@ -426,8 +377,8 @@ Add quantize_leaves(const Add& f, std::size_t max_leaves, ApproxMode mode) {
   for (const Cluster& c : clusters) {
     for (const std::uint32_t leaf : c.members) value_map.emplace(leaf, c.value);
   }
-  LeafRemapper remapper(mgr, value_map);
-  Add result = DdInternal::make_add(mgr, remapper.rebuild(root));
+  Substitution remap(mgr, value_map);
+  Add result = DdInternal::make_add(mgr, remap.rebuild(root));
   mgr->collect_garbage();
   return result;
 }

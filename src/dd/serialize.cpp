@@ -107,6 +107,48 @@ bool next_line(std::istream& is, std::string& line, std::size_t& lineno) {
   return false;
 }
 
+/// The header and `vars` lines of a serialized diagram.
+struct Preamble {
+  bool is_bdd = false;
+  std::size_t vars = 0;
+};
+
+/// Parses the `cfpm-dd 2 <add|bdd>` and `vars <n>` lines, each fetched into
+/// `line` by expect_line(what). Rejects a diagram of the other kind.
+template <class ExpectLine>
+Preamble read_preamble(ExpectLine&& expect_line, const std::string& line,
+                       const std::size_t& lineno, bool want_bdd) {
+  Preamble p;
+  expect_line("header");
+  {
+    std::istringstream ss(line);
+    std::string magic, kind, extra;
+    int v = 0;
+    if ((ss >> magic >> v >> kind) && !(ss >> extra) && magic == "cfpm-dd" &&
+        v == 2 && (kind == "add" || kind == "bdd")) {
+      p.is_bdd = kind == "bdd";
+    } else {
+      throw ParseError("read_dd: bad header '" + line + "'", lineno);
+    }
+  }
+  if (p.is_bdd != want_bdd) {
+    throw ParseError(std::string("read_dd: file holds a ") +
+                         (p.is_bdd ? "bdd" : "add") + ", caller wants a " +
+                         (want_bdd ? "bdd" : "add"),
+                     lineno);
+  }
+
+  expect_line("vars");
+  {
+    std::istringstream ss(line);
+    std::string kw;
+    if (!(ss >> kw >> p.vars) || kw != "vars") {
+      throw ParseError("read_dd: expected 'vars <n>'", lineno);
+    }
+  }
+  return p;
+}
+
 /// Shared add/bdd reader. Returns a referenced root edge (plain for ADDs).
 Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
   CFPM_FAILPOINT("dd.serialize.read");
@@ -126,35 +168,9 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
     crc.update("\n");
   };
 
-  expect_line("header");
-  bool file_is_bdd = false;
-  {
-    std::istringstream ss(line);
-    std::string magic, kind, extra;
-    int v = 0;
-    if ((ss >> magic >> v >> kind) && !(ss >> extra) && magic == "cfpm-dd" &&
-        v == 2 && (kind == "add" || kind == "bdd")) {
-      file_is_bdd = kind == "bdd";
-    } else {
-      throw ParseError("read_dd: bad header '" + line + "'", lineno);
-    }
-  }
-  if (file_is_bdd != want_bdd) {
-    throw ParseError(std::string("read_dd: file holds a ") +
-                         (file_is_bdd ? "bdd" : "add") + ", caller wants a " +
-                         (want_bdd ? "bdd" : "add"),
-                     lineno);
-  }
-
-  expect_line("vars");
-  std::size_t nvars = 0;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> nvars) || kw != "vars") {
-      throw ParseError("read_dd: expected 'vars <n>'", lineno);
-    }
-  }
+  const Preamble preamble = read_preamble(expect_line, line, lineno, want_bdd);
+  const bool file_is_bdd = preamble.is_bdd;
+  const std::size_t nvars = preamble.vars;
   if (nvars > mgr.num_vars()) {
     throw ParseError("read_dd: model needs " + std::to_string(nvars) +
                          " variables, manager has " +
@@ -339,6 +355,24 @@ void write_add(std::ostream& os, const Add& f) {
 void write_bdd(std::ostream& os, const Bdd& f) {
   CFPM_REQUIRE(!f.is_null());
   write_dd(os, *f.manager(), DdInternal::edge(f), /*is_bdd=*/true);
+}
+
+std::size_t peek_add_vars(std::istream& is) {
+  const std::istream::pos_type start = is.tellg();
+  std::string line;
+  std::size_t lineno = 0;
+  auto expect_line = [&](const char* what) {
+    if (!next_line(is, line, lineno)) {
+      throw ParseError(std::string("read_dd: missing ") + what, lineno);
+    }
+  };
+  const std::size_t vars =
+      read_preamble(expect_line, line, lineno, /*want_bdd=*/false).vars;
+  is.clear();
+  if (start == std::istream::pos_type(-1) || !is.seekg(start)) {
+    throw ParseError("read_dd: cannot rewind the stream after its header");
+  }
+  return vars;
 }
 
 Add read_add(std::istream& is, DdManager& mgr) {

@@ -39,6 +39,12 @@ void write_add(std::ostream& os, const Add& f);
 /// Throws cfpm::Error on stream failure.
 void write_bdd(std::ostream& os, const Bdd& f);
 
+/// Reads the header and `vars` line of a serialized ADD, then rewinds `is`
+/// to where it started, so a caller can check the diagram's width before
+/// sizing a manager for read_add. Throws cfpm::ParseError on a malformed
+/// header or a stream that cannot rewind.
+std::size_t peek_add_vars(std::istream& is);
+
 /// Reads an ADD (v2 'add') into `mgr` (which must have at least the
 /// serialized variable count). Throws cfpm::ParseError on malformed input.
 Add read_add(std::istream& is, DdManager& mgr);

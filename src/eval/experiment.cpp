@@ -88,7 +88,8 @@ std::vector<AccuracyReport> evaluate(
       p.golden = golden_value;
       try {
         // One batched pass over the trace yields average and peak together
-        // (the compiled fast path for ADD models, chunked loops otherwise).
+        // (one packed sweep per 512 transitions for ADD models, the
+        // estimate_ff default of estimate_block otherwise).
         // Routed through the service facade so the harness scores exactly
         // the evaluation path the CLI and the daemon serve.
         const service::EvalReply est =

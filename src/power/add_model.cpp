@@ -1,6 +1,7 @@
 #include "power/add_model.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -518,6 +519,17 @@ AddPowerModel AddPowerModel::load(std::istream& is) {
     throw ParseError("power model: unknown mode '" + mode_str + "'");
   }
 
+  // The diagram must span exactly the 2 * inputs variables the header
+  // promises, checked before the manager allocates them: a forged `inputs`
+  // line would otherwise size a manager (and every workload generated for
+  // the model) far past the diagram it carries.
+  const std::size_t vars = dd::peek_add_vars(is);
+  if (inputs > std::numeric_limits<std::uint32_t>::max() / 2 ||
+      vars != 2 * inputs) {
+    throw ParseError("power model: 'inputs " + std::to_string(inputs) +
+                     "' does not match the diagram's 'vars " +
+                     std::to_string(vars) + "' (two per input)");
+  }
   auto mgr = std::make_shared<dd::DdManager>(2 * inputs);
   dd::Add function = dd::read_add(is, *mgr);
   return AddPowerModel(std::move(mgr), std::move(function), inputs, order,

@@ -1,59 +1,11 @@
 #include "power/baselines.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/linear.hpp"
 
 namespace cfpm::power {
-
-// Constant estimators skip the sequence bits entirely but still accumulate
-// by repeated addition, so the result stays bit-identical to the generic
-// estimate_ff loop.
-TraceEstimate ConstantModel::estimate_trace(const sim::InputSequence& seq,
-                                            ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs_);
-  const double value = value_ff_;
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [value](std::size_t begin, std::size_t end, double& total, double& peak) {
-        for (std::size_t t = begin; t < end; ++t) total += value;
-        peak = std::max(0.0, value);
-      });
-}
-
-TraceEstimate ConstantBoundModel::estimate_trace(const sim::InputSequence& seq,
-                                                 ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs_);
-  const double value = bound_ff_;
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [value](std::size_t begin, std::size_t end, double& total, double& peak) {
-        for (std::size_t t = begin; t < end; ++t) total += value;
-        peak = std::max(0.0, value);
-      });
-}
-
-TraceEstimate LinearModel::estimate_trace(const sim::InputSequence& seq,
-                                          ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs());
-  const std::size_t n = num_inputs();
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [&](std::size_t begin, std::size_t end, double& total, double& peak) {
-        for (std::size_t t = begin; t < end; ++t) {
-          // Same coefficient-addition order as estimate_ff, so each
-          // per-transition value (and thus the chunk sum) is bit-identical
-          // to the scalar path.
-          double est = coeffs_[0];
-          for (std::size_t j = 0; j < n; ++j) {
-            if (seq.bit(j, t) != seq.bit(j, t + 1)) est += coeffs_[j + 1];
-          }
-          total += est;
-          peak = std::max(peak, est);
-        }
-      });
-}
 
 LinearModel::LinearModel(std::vector<double> coeffs)
     : coeffs_(std::move(coeffs)) {

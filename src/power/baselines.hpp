@@ -7,6 +7,10 @@
 //  * ConstantBoundModel: a pattern-independent worst-case estimator (used
 //    as the "Con" column of the Table-1 upper-bound section).
 //
+// None of them overrides batch evaluation: traces run the default
+// estimate_block (an estimate_ff loop) inside PowerModel::estimate_trace,
+// so trace values are bit-identical to a scalar estimate_ff loop.
+//
 // Both Con and Lin require simulation-based characterization; the paper's
 // point is precisely that their accuracy collapses out-of-sample. The
 // Characterizer runs the golden-model simulator on a training sequence
@@ -36,10 +40,6 @@ class ConstantModel final : public PowerModel {
   double worst_case_ff() const override { return value_ff_; }
   double value_ff() const { return value_ff_; }
 
-  /// Pattern-independent: chunks reduce without touching the sequence bits.
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
-
  private:
   double value_ff_;
   std::size_t num_inputs_;
@@ -59,9 +59,6 @@ class ConstantBoundModel final : public PowerModel {
   std::size_t num_inputs() const override { return num_inputs_; }
   double worst_case_ff() const override { return bound_ff_; }
 
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
-
  private:
   double bound_ff_;
   std::size_t num_inputs_;
@@ -78,11 +75,6 @@ class LinearModel final : public PowerModel {
   std::size_t num_inputs() const override { return coeffs_.size() - 1; }
   double worst_case_ff() const override;
   std::span<const double> coefficients() const { return coeffs_; }
-
-  /// Batch path reading toggle bits straight off the packed sequence
-  /// (no per-transition vector materialization or virtual dispatch).
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
 
  private:
   std::vector<double> coeffs_;

@@ -30,8 +30,7 @@ std::unique_ptr<PowerModel> make_model(ModelKind kind,
                                        const netlist::Netlist& n,
                                        const ModelOptions& options) {
   switch (kind) {
-    case ModelKind::kAddAverage:
-    case ModelKind::kCompiled: {
+    case ModelKind::kAddAverage: {
       AddModelOptions add = options.add;
       add.mode = dd::ApproxMode::kAverage;
       return std::make_unique<AddPowerModel>(

@@ -24,10 +24,10 @@ namespace cfpm::power {
 enum class ModelKind {
   kAddAverage,    ///< characterization-free ADD model, average-accuracy mode
   kAddUpperBound, ///< ADD model with conservative (upper-bound) collapsing
-  kCompiled,      ///< alias of kAddAverage: batch evaluation of an ADD model
-                  ///< always goes through the compiled fast path
-  kConstant,      ///< Con baseline (characterized mean)
-  kLinear,        ///< Lin baseline (characterized least-squares)
+  // 2 is retired (it was an alias of kAddAverage); the explicit values
+  // keep every ModelId and wire code of the remaining kinds unchanged.
+  kConstant = 3,  ///< Con baseline (characterized mean)
+  kLinear = 4,    ///< Lin baseline (characterized least-squares)
 };
 
 struct ModelOptions {

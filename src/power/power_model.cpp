@@ -10,59 +10,6 @@
 
 namespace cfpm::power {
 
-TraceEstimate PowerModel::reduce_trace(
-    std::size_t transitions, ThreadPool* pool,
-    const std::function<void(std::size_t, std::size_t, double&, double&)>&
-        chunk_fn) const {
-  TraceEstimate est;
-  est.transitions = transitions;
-  if (transitions == 0) return est;
-
-  // Metered per call, not per chunk: every model's estimate_trace funnels
-  // through here, and the per-chunk work must stay metric-free to keep the
-  // packed-eval throughput contract (< 2% overhead).
-  CFPM_TRACE_SPAN("power.trace");
-  static const metrics::Counter c_call("power.trace.call");
-  static const metrics::Counter c_chunk("power.trace.chunk");
-  static const metrics::Counter c_pattern("power.trace.pattern");
-  static const metrics::Histogram h_us("power.trace.us");
-  const metrics::ScopedTimer timer(h_us);
-
-  const std::size_t chunks = (transitions + kTraceChunk - 1) / kTraceChunk;
-  c_call.add();
-  c_chunk.add(chunks);
-  c_pattern.add(transitions);
-  if (pool == nullptr || pool->num_workers() == 0 || chunks == 1) {
-    // Inline fast path: no queue, no mutex, and no per-chunk slot vectors.
-    // Chunks still run in chunk order with per-chunk zero-initialized
-    // partials folded immediately, which is the same association as the
-    // ordered reduction below — bit-identical to the pooled path.
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * kTraceChunk;
-      const std::size_t end = std::min(begin + kTraceChunk, transitions);
-      double total = 0.0;
-      double peak = 0.0;
-      chunk_fn(begin, end, total, peak);
-      est.total_ff += total;
-      est.peak_ff = std::max(est.peak_ff, peak);
-    }
-    return est;
-  }
-  std::vector<double> totals(chunks, 0.0);
-  std::vector<double> peaks(chunks, 0.0);
-  pool->run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kTraceChunk;
-    const std::size_t end = std::min(begin + kTraceChunk, transitions);
-    chunk_fn(begin, end, totals[c], peaks[c]);
-  });
-  // Ordered reduction: identical association regardless of thread count.
-  for (std::size_t c = 0; c < chunks; ++c) {
-    est.total_ff += totals[c];
-    est.peak_ff = std::max(est.peak_ff, peaks[c]);
-  }
-  return est;
-}
-
 void PowerModel::estimate_block(std::span<const std::uint64_t> xi_words,
                                 std::span<const std::uint64_t> xf_words,
                                 std::size_t count, std::span<double> out,
@@ -109,30 +56,100 @@ void pack_block(const sim::InputSequence& seq,
   }
 }
 
+TraceTotals stream_trace(std::span<const TraceInstance> instances,
+                         const sim::InputSequence& seq, std::size_t chunk,
+                         ThreadPool* pool) {
+  constexpr std::size_t kBlock = PowerModel::kBlockTransitions;
+  CFPM_REQUIRE(chunk > 0 && chunk % kBlock == 0);
+  const std::size_t transitions = seq.num_transitions();
+  const std::size_t n = instances.size();
+  TraceTotals result;
+  result.per_instance_ff.assign(n, 0.0);
+  if (transitions == 0 || n == 0) return result;
+
+  std::size_t max_inputs = 0;
+  for (const TraceInstance& inst : instances) {
+    max_inputs = std::max(max_inputs, inst.inputs.size());
+  }
+  const std::size_t chunks = (transitions + chunk - 1) / chunk;
+  // Chunk c's partials: sums[c * n + i] for instance i, and peaks[c].
+  std::vector<double> sums(chunks * n);
+  std::vector<double> peaks(chunks);
+  const auto run_chunk = [&](std::size_t c) {
+    const std::size_t begin = c * chunk;
+    const std::size_t end = std::min(begin + chunk, transitions);
+    // cycle[t - begin] is transition t's composed estimate.
+    std::vector<double> cycle(end - begin, 0.0);
+    std::vector<std::uint64_t> xi(PowerModel::kBlockGroups * max_inputs);
+    std::vector<std::uint64_t> xf(PowerModel::kBlockGroups * max_inputs);
+    BlockScratch scratch;
+    double values[kBlock];
+    // Instance-major: instance i's slot sums its values in transition
+    // order, and each cycle total folds 0.0 + v_0 + v_1 + ... in instance
+    // order, the association of a per-transition loop.
+    for (std::size_t i = 0; i < n; ++i) {
+      const TraceInstance& inst = instances[i];
+      double sum = 0.0;
+      for (std::size_t base = begin; base < end; base += kBlock) {
+        const std::size_t m = std::min(kBlock, end - base);
+        pack_block(seq, inst.inputs, base, m, xi, xf);
+        inst.model->estimate_block(xi, xf, m, {values, m}, scratch);
+        double* cycle_block = cycle.data() + (base - begin);
+        for (std::size_t t = 0; t < m; ++t) {
+          sum += values[t];
+          cycle_block[t] += values[t];
+        }
+      }
+      sums[c * n + i] = sum;
+    }
+    double peak = 0.0;
+    for (const double v : cycle) peak = std::max(peak, v);
+    peaks[c] = peak;
+  };
+  if (pool != nullptr) {
+    pool->run_indexed(chunks, run_chunk);
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
+  }
+
+  // Ordered reduction: chunk order per instance. Peak is a max, so the
+  // reduction order cannot change it.
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      result.per_instance_ff[i] += sums[c * n + i];
+    }
+    result.peak_ff = std::max(result.peak_ff, peaks[c]);
+  }
+  return result;
+}
+
 TraceEstimate PowerModel::estimate_trace(const sim::InputSequence& seq,
                                          ThreadPool* pool) const {
   CFPM_REQUIRE(seq.num_inputs() == num_inputs());
-  static_assert(kTraceChunk % kBlockTransitions == 0,
-                "chunk boundaries must not split a block");
+  TraceEstimate est;
+  est.transitions = seq.num_transitions();
+  if (est.transitions == 0) return est;
+
+  // Metered per call, not per chunk: the per-chunk work must stay
+  // metric-free to keep the packed-eval throughput contract (< 2%
+  // overhead).
+  CFPM_TRACE_SPAN("power.trace");
+  static const metrics::Counter c_call("power.trace.call");
+  static const metrics::Counter c_chunk("power.trace.chunk");
+  static const metrics::Counter c_pattern("power.trace.pattern");
+  static const metrics::Histogram h_us("power.trace.us");
+  const metrics::ScopedTimer timer(h_us);
+  c_call.add();
+  c_chunk.add((est.transitions + kTraceChunk - 1) / kTraceChunk);
+  c_pattern.add(est.transitions);
+
   std::vector<std::size_t> inputs(num_inputs());
   std::iota(inputs.begin(), inputs.end(), std::size_t{0});
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [&](std::size_t begin, std::size_t end, double& total, double& peak) {
-        std::vector<std::uint64_t> xi(kBlockGroups * inputs.size());
-        std::vector<std::uint64_t> xf(kBlockGroups * inputs.size());
-        BlockScratch scratch;
-        double values[kBlockTransitions];
-        for (std::size_t base = begin; base < end; base += kBlockTransitions) {
-          const std::size_t m = std::min(kBlockTransitions, end - base);
-          pack_block(seq, inputs, base, m, xi, xf);
-          estimate_block(xi, xf, m, {values, m}, scratch);
-          for (std::size_t t = 0; t < m; ++t) {
-            total += values[t];
-            peak = std::max(peak, values[t]);
-          }
-        }
-      });
+  const TraceInstance self{this, inputs};
+  const TraceTotals totals = stream_trace({&self, 1}, seq, kTraceChunk, pool);
+  est.total_ff = totals.per_instance_ff[0];
+  est.peak_ff = totals.peak_ff;
+  return est;
 }
 
 }  // namespace cfpm::power

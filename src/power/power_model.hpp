@@ -3,10 +3,16 @@
 // A model maps an input transition (x^i -> x^f) of a combinational macro to
 // an estimate of the switched capacitance in fF (energy = Vdd^2 * C, Eq. 1).
 // Pattern-independent models simply ignore the patterns.
+//
+// Evaluation has one hook and one loop. A model customises batch
+// evaluation only through estimate_block (512 packed transitions at a
+// time; the default unpacks and calls estimate_ff). stream_trace is the
+// single chunked trace loop over any number of models bound to a bus:
+// PowerModel::estimate_trace is its one-instance case and
+// chip::evaluate_trace its composed-design case.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,7 +80,9 @@ class PowerModel {
   /// final values likewise (see pack_block). Every out[t] is bit-identical
   /// to estimate_ff on the unpacked transition. The default unpacks and
   /// calls estimate_ff once per transition; the ADD model runs one packed
-  /// sweep of its compiled diagram instead.
+  /// sweep of its compiled diagram instead. This is the only evaluation
+  /// hook besides estimate_ff: every trace, of one model or of a composed
+  /// design, streams through it (stream_trace).
   virtual void estimate_block(std::span<const std::uint64_t> xi_words,
                               std::span<const std::uint64_t> xf_words,
                               std::size_t count, std::span<double> out,
@@ -82,19 +90,18 @@ class PowerModel {
 
   // ----- sequence-level evaluation (RTL simulation loop) -------------------
 
-  /// Transitions per work chunk of estimate_trace. Chunk boundaries depend
-  /// only on the sequence (never on the thread count) and chunk partials
-  /// are reduced in chunk order, so estimate_trace is bit-identical for
-  /// any pool size — including no pool at all.
+  /// Transitions per work chunk of estimate_trace (see stream_trace).
   static constexpr std::size_t kTraceChunk = 4096;
+  static_assert(kTraceChunk % kBlockTransitions == 0,
+                "chunk boundaries must not split a block");
 
-  /// Evaluates every transition of `seq` in one pass, sharding fixed
-  /// kTraceChunk-sized chunks across `pool` when one is given. The default
-  /// implementation packs each chunk into estimate_block operands and sums
-  /// the values in transition order; Con and Lin override it with closed
-  /// forms over the packed bits.
-  virtual TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                                       ThreadPool* pool = nullptr) const;
+  /// Evaluates every transition of `seq` in one pass: the one-instance
+  /// case of stream_trace, reading the sequence's inputs in order, in
+  /// kTraceChunk-sized chunks sharded across `pool` when one is given.
+  /// Bit-identical for any pool size, including no pool at all. Models
+  /// customise evaluation through estimate_block alone.
+  TraceEstimate estimate_trace(const sim::InputSequence& seq,
+                               ThreadPool* pool = nullptr) const;
 
   /// Average estimated capacitance per transition over a sequence.
   double average_over(const sim::InputSequence& seq) const {
@@ -105,17 +112,36 @@ class PowerModel {
   double peak_over(const sim::InputSequence& seq) const {
     return estimate_trace(seq).peak_ff;
   }
-
- protected:
-  /// Shared sharding/reduction skeleton for estimate_trace implementations:
-  /// chunk_fn(begin, end, total, peak) evaluates transitions [begin, end)
-  /// into zero-initialized per-chunk slots (possibly on a pool thread);
-  /// partials are then combined in chunk order on the calling thread.
-  TraceEstimate reduce_trace(
-      std::size_t transitions, ThreadPool* pool,
-      const std::function<void(std::size_t, std::size_t, double&, double&)>&
-          chunk_fn) const;
 };
+
+/// One model bound to a window of a wider bus: operand input k of `model`
+/// reads sequence input inputs[k].
+struct TraceInstance {
+  const PowerModel* model = nullptr;
+  std::span<const std::size_t> inputs;
+};
+
+/// What stream_trace returns.
+struct TraceTotals {
+  /// Instance i's estimates summed in transition order within each chunk,
+  /// then folded chunk by chunk in chunk order.
+  std::vector<double> per_instance_ff;
+  /// Largest per-transition cycle total, each folded 0.0 + v_0 + v_1 + ...
+  /// in instance order (0 for empty traces).
+  double peak_ff = 0.0;
+};
+
+/// The one trace loop: streams every transition of `seq` through every
+/// instance. The trace is split into `chunk`-transition chunks (a positive
+/// multiple of kBlockTransitions) whose boundaries depend only on the
+/// sequence; within a chunk each instance packs 512 transitions at a time
+/// (pack_block) and runs estimate_block on them. Chunk partials land in
+/// per-chunk slots and are reduced in chunk order, so the result is
+/// bit-identical for any pool size. Without a pool the chunks run serially
+/// on the caller; with one they go through pool->run_indexed.
+TraceTotals stream_trace(std::span<const TraceInstance> instances,
+                         const sim::InputSequence& seq, std::size_t chunk,
+                         ThreadPool* pool);
 
 /// Packs transitions [base, base + count) of `seq` into estimate_block
 /// operands: operand input k reads sequence input inputs[k], so a model

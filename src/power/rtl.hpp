@@ -7,10 +7,11 @@
 // than the sum of the components' global worst cases.
 //
 // The per-transition methods here are the one-shot and reporting API.
-// Streaming a trace through a design is chip::evaluate_trace's job: it
-// gathers each instance's bus window straight off the packed sequence and
-// evaluates 512 transitions per PowerModel::estimate_block call, with the
-// same per-cycle fold (instance order) as estimate_ff.
+// Streaming a trace through a design is chip::evaluate_trace's job: it runs
+// power::stream_trace, which gathers each instance's bus window straight
+// off the packed sequence and evaluates 512 transitions per
+// PowerModel::estimate_block call, with the same per-cycle fold (instance
+// order) as estimate_ff.
 #pragma once
 
 #include <memory>

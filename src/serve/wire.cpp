@@ -250,7 +250,8 @@ service::BuildRequest decode_build_request(std::string_view payload) {
   const std::string circuit(r.field("circuit"));
   service::BuildOptions& o = req.options;
   const auto kind = r.number<unsigned>("kind");
-  if (kind > static_cast<unsigned>(power::ModelKind::kLinear)) {
+  // Kind 2 is retired: it aliased kind 0 under a different ModelId.
+  if (kind == 2 || kind > static_cast<unsigned>(power::ModelKind::kLinear)) {
     throw ParseError("wire: unknown model kind " + std::to_string(kind));
   }
   o.kind = static_cast<power::ModelKind>(kind);

@@ -5,7 +5,11 @@
 // the caller's contract: work must be split into chunks whose boundaries do
 // not depend on the thread count, with per-chunk results written to
 // per-chunk slots and reduced in chunk order afterwards — then the outcome
-// is bit-identical for any pool size (see PowerModel::estimate_trace).
+// is bit-identical for any pool size (see power::stream_trace, the one
+// trace loop behind PowerModel::estimate_trace and chip::evaluate_trace).
+// A pool without workers, or a one-index batch, runs inline on the caller
+// in index order: no queue, no mutex, but the `threadpool.task` failpoint
+// still guards every index.
 #pragma once
 
 #include <condition_variable>

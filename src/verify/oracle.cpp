@@ -22,6 +22,7 @@
 #include "dd/serialize.hpp"
 #include "netlist/library.hpp"
 #include "power/add_model.hpp"
+#include "power/baselines.hpp"
 #include "power/factory.hpp"
 #include "serve/client.hpp"
 #include "serve/registry.hpp"
@@ -459,48 +460,62 @@ CheckResult check_trace_threads(const Netlist& n, const CheckContext& ctx) {
   const std::size_t length = 200 + rng.next_below(1100);
   const sim::InputSequence seq = gen.generate(n.num_inputs(), length);
 
-  const power::TraceEstimate base = model->estimate_trace(seq, nullptr);
-
-  // Independent scalar oracle (single chunk, so accumulation order matches).
-  if (seq.num_transitions() <= power::PowerModel::kTraceChunk) {
-    std::vector<std::uint8_t> xi(n.num_inputs()), xf(n.num_inputs());
-    double total = 0.0, peak = 0.0;
-    for (std::size_t t = 0; t + 1 < seq.length(); ++t) {
-      seq.vector_at(t, xi);
-      seq.vector_at(t + 1, xf);
-      const double v = model->estimate_ff(xi, xf);
-      total += v;
-      peak = std::max(peak, v);
-    }
-    if (total != base.total_ff || peak != base.peak_ff) {
-      return fail("estimate_trace diverges from the scalar loop: total " +
-                  format_double(base.total_ff) + " vs " +
-                  format_double(total) + ", peak " +
-                  format_double(base.peak_ff) + " vs " + format_double(peak));
-    }
-  }
-
   const std::size_t thread_counts[] = {1, 2, 3 + rng.next_below(6)};
-  for (const std::size_t t : thread_counts) {
-    ThreadPool pool(t);
-    const power::TraceEstimate est = model->estimate_trace(seq, &pool);
-    if (est.total_ff != base.total_ff || est.peak_ff != base.peak_ff ||
-        est.transitions != base.transitions) {
-      return fail("estimate_trace not bit-identical with " +
-                  std::to_string(t) + " thread(s): total " +
-                  format_double(est.total_ff) + " vs " +
-                  format_double(base.total_ff) + ", peak " +
-                  format_double(est.peak_ff) + " vs " +
-                  format_double(base.peak_ff));
+  // Lin and Con stream through the same loop (estimate_block's default), so
+  // they face the same checks: a random-coefficient Lin whose decimal sums
+  // round, and a Con. Drawn last, so a seed's ADD scenario is unchanged.
+  std::vector<double> coeffs(n.num_inputs() + 1);
+  for (double& c : coeffs) c = 8.0 * rng.next_double() - 1.0;
+  const power::LinearModel lin(coeffs);
+  const power::ConstantModel con(10.0 * rng.next_double(), n.num_inputs());
+
+  const power::PowerModel* models[] = {model.get(), &lin, &con};
+  for (const power::PowerModel* m : models) {
+    const power::TraceEstimate base = m->estimate_trace(seq, nullptr);
+
+    // Independent scalar oracle (single chunk, so accumulation order
+    // matches).
+    if (seq.num_transitions() <= power::PowerModel::kTraceChunk) {
+      std::vector<std::uint8_t> xi(n.num_inputs()), xf(n.num_inputs());
+      double total = 0.0, peak = 0.0;
+      for (std::size_t t = 0; t + 1 < seq.length(); ++t) {
+        seq.vector_at(t, xi);
+        seq.vector_at(t + 1, xf);
+        const double v = m->estimate_ff(xi, xf);
+        total += v;
+        peak = std::max(peak, v);
+      }
+      if (total != base.total_ff || peak != base.peak_ff) {
+        return fail(m->name() +
+                    " estimate_trace diverges from the scalar loop: total " +
+                    format_double(base.total_ff) + " vs " +
+                    format_double(total) + ", peak " +
+                    format_double(base.peak_ff) + " vs " +
+                    format_double(peak));
+      }
+    }
+
+    for (const std::size_t t : thread_counts) {
+      ThreadPool pool(t);
+      const power::TraceEstimate est = m->estimate_trace(seq, &pool);
+      if (est.total_ff != base.total_ff || est.peak_ff != base.peak_ff ||
+          est.transitions != base.transitions) {
+        return fail(m->name() + " estimate_trace not bit-identical with " +
+                    std::to_string(t) + " thread(s): total " +
+                    format_double(est.total_ff) + " vs " +
+                    format_double(base.total_ff) + ", peak " +
+                    format_double(est.peak_ff) + " vs " +
+                    format_double(base.peak_ff));
+      }
     }
   }
   return pass();
 }
 
 // ---------------------------------------------------------------------------
-// (f) Daemon round-trip: cfpmd replies are bit-identical to the in-process
-//     service facade, and the registry persisted on shutdown serves the
-//     same bits after a warm restart.
+// (f) Daemon round-trip: `cfpm serve` replies are bit-identical to the
+//     in-process service facade, and the registry persisted on shutdown
+//     serves the same bits after a warm restart.
 // ---------------------------------------------------------------------------
 
 /// In-process daemon for one check run: a unique socket and persist
@@ -702,13 +717,13 @@ constexpr Check kChecks[] = {
      "snapshot",
      check_sift_equivalence},
     {"trace-threads",
-     "estimate_trace is bit-identical to the scalar loop and across thread "
-     "counts",
+     "estimate_trace of ADD, Lin and Con models is bit-identical to the "
+     "scalar loop and across thread counts",
      check_trace_threads},
     {"serve-roundtrip",
-     "cfpmd build/eval/trace replies over the wire are bit-identical to the "
-     "in-process service facade, and the registry persisted on shutdown "
-     "serves the same bits after a warm restart",
+     "cfpm serve build/eval/trace replies over the wire are bit-identical "
+     "to the in-process service facade, and the registry persisted on "
+     "shutdown serves the same bits after a warm restart",
      check_serve_roundtrip},
 };
 

@@ -292,6 +292,47 @@ TEST(ChipEvaluator, MatchesPerTransitionReferenceBitwise) {
   }
 }
 
+// A single model over a trace is a one-instance design: with an identity
+// input map, and inside one chunk of both loops (so the chunk widths agree),
+// chip::evaluate_trace and PowerModel::estimate_trace are the same stream.
+TEST(ChipEvaluator, OneInstanceDesignEqualsEstimateTraceBitwise) {
+  power::AddModelOptions opt;
+  opt.max_nodes = 0;
+  const auto add = std::make_shared<power::AddPowerModel>(
+      power::AddPowerModel::build(netlist::gen::ripple_carry_adder(2),
+                                  netlist::GateLibrary::standard(), opt));
+  const std::size_t n = add->num_inputs();
+  std::vector<double> coeffs(n + 1);
+  for (std::size_t j = 0; j <= n; ++j) {
+    coeffs[j] = 0.3 + 1.7 * static_cast<double>(j);
+  }
+  const auto lin = std::make_shared<power::LinearModel>(coeffs);
+  const auto con = std::make_shared<power::ConstantModel>(4.7, n);
+  std::vector<std::size_t> identity(n);
+  for (std::size_t k = 0; k < n; ++k) identity[k] = k;
+
+  stats::MarkovSequenceGenerator gen({0.5, 0.4}, 0x1e57);
+  const sim::InputSequence trace = gen.generate(n, kTraceChunk + 1);
+  ASSERT_LE(trace.num_transitions(), kTraceChunk);
+  const std::pair<const char*, std::shared_ptr<const power::PowerModel>>
+      models[] = {{"add", add}, {"lin", lin}, {"con", con}};
+  for (const auto& [name, model] : models) {
+    power::RtlDesign design;
+    design.add_instance(name, model, identity);
+    const power::TraceEstimate single = model->estimate_trace(trace);
+    for (const std::size_t shards : {1u, 2u}) {
+      ThreadPool pool(shards);
+      const ChipTraceResult r = evaluate_trace(design, trace, &pool);
+      EXPECT_EQ(r.transitions, single.transitions) << name;
+      EXPECT_EQ(bits_of(r.total_ff), bits_of(single.total_ff)) << name;
+      EXPECT_EQ(bits_of(r.peak_ff), bits_of(single.peak_ff)) << name;
+      ASSERT_EQ(r.per_instance_ff.size(), 1u);
+      EXPECT_EQ(bits_of(r.per_instance_ff[0]), bits_of(single.total_ff))
+          << name;
+    }
+  }
+}
+
 TEST(ChipBuild, ExpiredDeadlineSurfacesLadderDegradation) {
   ChipBuildOptions options;
   options.deadline_ms = 0;  // already expired: every macro rides the ladder

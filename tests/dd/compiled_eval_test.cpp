@@ -171,25 +171,12 @@ TEST(CompiledEval, SnapshotSurvivesManagerGcAndReordering) {
   EXPECT_EQ(compiled.eval(a), expected);
 }
 
-TEST(CompiledEval, EstimateTraceBitIdenticalAcrossThreadCounts) {
-  const power::AddPowerModel model = random_model(13);
+/// The scalar estimate_ff loop with estimate_trace's association: values
+/// summed in transition order within each kTraceChunk chunk, chunk sums
+/// folded in chunk order, peak the largest value.
+power::TraceEstimate scalar_trace_reference(const power::PowerModel& model,
+                                            const sim::InputSequence& seq) {
   const std::size_t n = model.num_inputs();
-  stats::MarkovSequenceGenerator gen({0.5, 0.5}, 0x7ace);
-  // > 2 chunks so the ordered reduction actually reduces.
-  const sim::InputSequence seq =
-      gen.generate(n, 2 * power::PowerModel::kTraceChunk + 1000);
-
-  const power::TraceEstimate serial = model.estimate_trace(seq);
-  ThreadPool pool2(2), pool8(8);
-  const power::TraceEstimate t2 = model.estimate_trace(seq, &pool2);
-  const power::TraceEstimate t8 = model.estimate_trace(seq, &pool8);
-  EXPECT_EQ(serial.total_ff, t2.total_ff);
-  EXPECT_EQ(serial.total_ff, t8.total_ff);
-  EXPECT_EQ(serial.peak_ff, t2.peak_ff);
-  EXPECT_EQ(serial.peak_ff, t8.peak_ff);
-
-  // The batched result must equal the scalar estimate_ff path exactly
-  // (same chunk boundaries, same in-chunk order, same reduction).
   const std::size_t transitions = seq.num_transitions();
   power::TraceEstimate manual;
   manual.transitions = transitions;
@@ -210,15 +197,42 @@ TEST(CompiledEval, EstimateTraceBitIdenticalAcrossThreadCounts) {
     manual.total_ff += total;
     manual.peak_ff = std::max(manual.peak_ff, peak);
   }
+  return manual;
+}
+
+TEST(CompiledEval, EstimateTraceBitIdenticalAcrossThreadCounts) {
+  const power::AddPowerModel model = random_model(13);
+  const std::size_t n = model.num_inputs();
+  stats::MarkovSequenceGenerator gen({0.5, 0.5}, 0x7ace);
+  // > 2 chunks so the ordered reduction actually reduces.
+  const sim::InputSequence seq =
+      gen.generate(n, 2 * power::PowerModel::kTraceChunk + 1000);
+
+  const power::TraceEstimate serial = model.estimate_trace(seq);
+  ThreadPool pool2(2), pool8(8);
+  const power::TraceEstimate t2 = model.estimate_trace(seq, &pool2);
+  const power::TraceEstimate t8 = model.estimate_trace(seq, &pool8);
+  EXPECT_EQ(serial.total_ff, t2.total_ff);
+  EXPECT_EQ(serial.total_ff, t8.total_ff);
+  EXPECT_EQ(serial.peak_ff, t2.peak_ff);
+  EXPECT_EQ(serial.peak_ff, t8.peak_ff);
+
+  // The batched result must equal the scalar estimate_ff path exactly
+  // (same chunk boundaries, same in-chunk order, same reduction).
+  const power::TraceEstimate manual = scalar_trace_reference(model, seq);
   EXPECT_EQ(serial.total_ff, manual.total_ff);
   EXPECT_EQ(serial.peak_ff, manual.peak_ff);
 }
 
+// Con, ConBound and Lin have no batch override of their own: their traces
+// run estimate_block's estimate_ff default inside the shared trace loop,
+// and this is the contract that makes that exact.
 TEST(CompiledEval, BaselineTracesBitIdenticalAcrossThreadCounts) {
   const std::size_t n = 9;
   stats::MarkovSequenceGenerator gen({0.4, 0.3}, 0xba5e);
+  // Three full chunks plus a ragged tail.
   const sim::InputSequence seq =
-      gen.generate(n, 3 * power::PowerModel::kTraceChunk);
+      gen.generate(n, 3 * power::PowerModel::kTraceChunk + 78);
 
   std::vector<double> coeffs(n + 1);
   for (std::size_t j = 0; j <= n; ++j) {
@@ -226,18 +240,25 @@ TEST(CompiledEval, BaselineTracesBitIdenticalAcrossThreadCounts) {
   }
   const power::LinearModel lin(coeffs);
   const power::ConstantModel con(4.125, n);
+  const power::ConstantBoundModel con_bound(9.3, n);
 
-  ThreadPool pool2(2), pool8(8);
+  ThreadPool pool1(1), pool2(2), pool8(8);
   for (const power::PowerModel* m :
        {static_cast<const power::PowerModel*>(&lin),
-        static_cast<const power::PowerModel*>(&con)}) {
+        static_cast<const power::PowerModel*>(&con),
+        static_cast<const power::PowerModel*>(&con_bound)}) {
+    const power::TraceEstimate ref = scalar_trace_reference(*m, seq);
     const power::TraceEstimate serial = m->estimate_trace(seq);
-    const power::TraceEstimate t2 = m->estimate_trace(seq, &pool2);
-    const power::TraceEstimate t8 = m->estimate_trace(seq, &pool8);
-    EXPECT_EQ(serial.total_ff, t2.total_ff) << m->name();
-    EXPECT_EQ(serial.total_ff, t8.total_ff) << m->name();
-    EXPECT_EQ(serial.peak_ff, t2.peak_ff) << m->name();
-    EXPECT_EQ(serial.peak_ff, t8.peak_ff) << m->name();
+    EXPECT_EQ(serial.transitions, ref.transitions) << m->name();
+    EXPECT_EQ(serial.total_ff, ref.total_ff) << m->name();
+    EXPECT_EQ(serial.peak_ff, ref.peak_ff) << m->name();
+    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+      const power::TraceEstimate est = m->estimate_trace(seq, pool);
+      EXPECT_EQ(est.total_ff, ref.total_ff)
+          << m->name() << " lanes " << pool->num_threads();
+      EXPECT_EQ(est.peak_ff, ref.peak_ff)
+          << m->name() << " lanes " << pool->num_threads();
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // the survivors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -18,9 +19,10 @@ namespace {
 using netlist::GateLibrary;
 using netlist::Netlist;
 
-/// A constant model sabotaged to throw on its k-th estimate_trace call
+/// A constant model sabotaged to throw on its k-th estimate_block call
 /// (calls arrive in nondeterministic order across worker threads, but the
-/// count of failures is exact: one).
+/// count of failures is exact: one). A 200-vector cell is 199 transitions,
+/// so each cell makes exactly one block call.
 class SabotagedModel : public power::PowerModel {
  public:
   SabotagedModel(double value, std::size_t inputs, int detonate_on_call)
@@ -33,16 +35,14 @@ class SabotagedModel : public power::PowerModel {
                      std::span<const std::uint8_t>) const override {
     return value_;
   }
-  power::TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                                      ThreadPool*) const override {
+  void estimate_block(std::span<const std::uint64_t>,
+                      std::span<const std::uint64_t>, std::size_t count,
+                      std::span<double> out,
+                      power::BlockScratch&) const override {
     if (fuse_.fetch_sub(1) == 1) {
       throw std::runtime_error("sabotaged cell detonated");
     }
-    power::TraceEstimate est;
-    est.transitions = seq.num_transitions();
-    est.total_ff = value_ * static_cast<double>(est.transitions);
-    est.peak_ff = est.transitions == 0 ? 0.0 : value_;
-    return est;
+    std::fill_n(out.begin(), count, value_);
   }
 
  private:

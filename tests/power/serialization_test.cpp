@@ -107,6 +107,43 @@ TEST(ModelSerialization, BadModeRejected) {
   EXPECT_THROW(AddPowerModel::load(ss), ParseError);
 }
 
+TEST(ModelSerialization, InputsHeaderMustMatchTheDiagramWidth) {
+  const AddPowerModel m = sample_model(dd::ApproxMode::kAverage, 20);
+  std::stringstream ss;
+  m.save(ss);
+  const std::string saved = ss.str();
+  const std::string header = "inputs " + std::to_string(m.num_inputs()) + "\n";
+  const std::size_t pos = saved.find(header);
+  ASSERT_NE(pos, std::string::npos);
+  ASSERT_NE(saved.find("vars " + std::to_string(2 * m.num_inputs()) + "\n"),
+            std::string::npos);
+  const auto with_inputs = [&](const std::string& inputs) {
+    std::string text = saved;
+    text.replace(pos, header.size(), "inputs " + inputs + "\n");
+    return text;
+  };
+  // Too wide: the diagram is untouched, so only the header check can
+  // refuse it (it used to load and size a 200000-variable manager).
+  {
+    std::stringstream forged(with_inputs("100000"));
+    EXPECT_THROW(AddPowerModel::load(forged), ParseError);
+  }
+  // Far larger: 2^63 + 8 inputs would wrap 2 * inputs to the diagram's own
+  // width; it must be refused before any manager is sized.
+  {
+    std::stringstream forged(with_inputs("9223372036854775816"));
+    EXPECT_THROW(AddPowerModel::load(forged), ParseError);
+  }
+  // Too narrow for the diagram.
+  {
+    std::stringstream forged(with_inputs("3"));
+    EXPECT_THROW(AddPowerModel::load(forged), ParseError);
+  }
+  // The untouched text still loads, so the header is all that differed.
+  std::stringstream intact(saved);
+  EXPECT_EQ(AddPowerModel::load(intact).num_inputs(), m.num_inputs());
+}
+
 TEST(ModelSerialization, CompressedCopiesSerializeIndependently) {
   const AddPowerModel m = sample_model(dd::ApproxMode::kAverage, 0);
   const AddPowerModel small = m.compress(10);

@@ -106,6 +106,30 @@ TEST(Wire, BuildRequestRoundTripsNetlistAndOptions) {
             service::model_id(request.netlist, request.options));
 }
 
+TEST(Wire, BuildRequestKindCodesAreExactlyTheLiveKinds) {
+  service::BuildRequest request;
+  request.netlist = netlist::gen::c17();
+  const std::string encoded = encode_build_request(request);
+  const std::size_t pos = encoded.find("kind 0\n");
+  ASSERT_NE(pos, std::string::npos);
+  const auto with_kind = [&](const char* code) {
+    std::string payload = encoded;
+    payload.replace(pos, 7, std::string("kind ") + code + "\n");
+    return payload;
+  };
+  // The wire codes of the live kinds stay fixed (they feed every ModelId).
+  EXPECT_EQ(decode_build_request(with_kind("1")).options.kind,
+            power::ModelKind::kAddUpperBound);
+  EXPECT_EQ(decode_build_request(with_kind("3")).options.kind,
+            power::ModelKind::kConstant);
+  EXPECT_EQ(decode_build_request(with_kind("4")).options.kind,
+            power::ModelKind::kLinear);
+  // Kind 2 was an alias of kind 0 under a different ModelId; it is now an
+  // unknown kind, like any code past the last one.
+  EXPECT_THROW(decode_build_request(with_kind("2")), ParseError);
+  EXPECT_THROW(decode_build_request(with_kind("5")), ParseError);
+}
+
 TEST(Wire, EvalQueryAndReplyRoundTripDoublesExactly) {
   EvalQuery query;
   query.id = {0xaabbccdd00112233ull, 0x445566778899aabbull};

@@ -32,8 +32,8 @@ TEST(ThreadPool, SingleLanePoolSpawnsNoThreads) {
 
   // Inline execution: every index runs on the calling thread, in order
   // (the pooled path makes no ordering promise; the inline path does run
-  // ascending and callers like reduce_trace's fast path rely on staying
-  // on this thread).
+  // ascending, and stream_trace's single-lane case relies on staying on
+  // this thread).
   const std::thread::id self = std::this_thread::get_id();
   std::vector<std::size_t> order;
   pool.run_indexed(16, [&](std::size_t i) {
