@@ -1,8 +1,7 @@
 #include "dd/approx.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
 #include "dd/dd_internal.hpp"
@@ -15,88 +14,51 @@ namespace cfpm::dd {
 
 namespace {
 
-// ADDs carry no complement edges, so nodes are identified throughout this
-// file by bare arena index (the deterministic tie-break the old creation
-// id used to provide).
-
-/// Rebuilds the DAG under `root` with every node in `subst` replaced by the
-/// constant given for it; unmapped terminals stay themselves. Memoised, and
-/// rebuilds the then child before the else child, so arena indices (and
-/// with them every later tie-break) are deterministic. Returns a referenced
-/// plain edge.
+/// Rebuilds the DAG tabulated in `table` with every slot that holds a value
+/// in `subst` replaced by that constant; other terminals stay themselves.
+/// Memoised per slot, and rebuilds the then child before the else child,
+/// so arena indices (and with them every later tie-break) are
+/// deterministic. Returns a referenced plain edge.
 class Substitution {
  public:
-  Substitution(DdManager* mgr,
-               const std::unordered_map<std::uint32_t, double>& subst)
-      : mgr_(mgr), subst_(subst) {}
+  Substitution(DdManager* mgr, const NodeStats& table,
+               const std::vector<std::optional<double>>& subst)
+      : mgr_(mgr), table_(table), subst_(subst),
+        memo_(table.internal_count(), kNilEdge) {}
 
-  Edge rebuild(std::uint32_t index) {
-    if (auto it = subst_.find(index); it != subst_.end()) {
-      return DdInternal::terminal(*mgr_, it->second);
-    }
-    if (DdInternal::is_terminal(*mgr_, index)) {
-      const Edge e = make_edge(index);
+  Edge rebuild(std::uint32_t slot) {
+    if (subst_[slot]) return DdInternal::terminal(*mgr_, *subst_[slot]);
+    if (slot >= table_.internal_count()) {
+      const Edge e = make_edge(table_.node(slot));
       DdInternal::ref(*mgr_, e);
       return e;
     }
-    if (auto it = memo_.find(index); it != memo_.end()) {
-      DdInternal::ref(*mgr_, it->second);
-      return it->second;
+    if (memo_[slot] != kNilEdge) {
+      DdInternal::ref(*mgr_, memo_[slot]);
+      return memo_[slot];
     }
-    // Copy the record before recursing: rebuilding allocates, and an
+    // Read the variable before recursing: rebuilding allocates, and an
     // allocation may relocate the arena.
-    const DdNode n = DdInternal::node(*mgr_, index);
-    Edge t = rebuild(edge_index(n.then_edge));
+    const std::uint32_t var = DdInternal::node(*mgr_, table_.node(slot)).var;
+    const NodeStats::Children kids = table_.children(slot);
+    Edge t = rebuild(kids.then_slot);
     Edge e;
     try {
-      e = rebuild(edge_index(n.else_edge));
+      e = rebuild(kids.else_slot);
     } catch (...) {
       DdInternal::deref(*mgr_, t);
       throw;
     }
-    const Edge r = DdInternal::make_node(*mgr_, n.var, t, e);  // consumes t, e
-    memo_.emplace(index, r);
-    return r;
+    memo_[slot] = DdInternal::make_node(*mgr_, var, t, e);  // consumes t, e
+    return memo_[slot];
   }
 
  private:
   DdManager* mgr_;
-  const std::unordered_map<std::uint32_t, double>& subst_;
-  std::unordered_map<std::uint32_t, Edge> memo_;
+  const NodeStats& table_;
+  const std::vector<std::optional<double>>& subst_;
+  std::vector<Edge> memo_;
 };
-
-/// All internal nodes reachable from root, in depth-first order.
-std::vector<std::uint32_t> internal_nodes(const DdManager& mgr,
-                                          std::uint32_t root) {
-  std::vector<std::uint32_t> result;
-  DdInternal::for_each_node(mgr, root, [&](std::uint32_t i, const DdNode& n) {
-    if (!n.is_terminal()) result.push_back(i);
-  });
-  return result;
-}
-
-/// Probability that a uniformly random assignment reaches each node under
-/// `root` (terminals included), in one pass over the internal nodes in
-/// level order: every parent is settled before its children.
-std::unordered_map<std::uint32_t, double> uniform_reach(
-    const DdManager& mgr, std::uint32_t root,
-    std::vector<std::uint32_t> internal) {
-  std::sort(internal.begin(), internal.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return mgr.level_of_var(DdInternal::node(mgr, a).var) <
-                     mgr.level_of_var(DdInternal::node(mgr, b).var);
-            });
-  std::unordered_map<std::uint32_t, double> reach;
-  reach.reserve(internal.size());
-  reach[root] = 1.0;
-  for (const std::uint32_t n : internal) {
-    const double p = reach[n];
-    const DdNode& rec = DdInternal::node(mgr, n);
-    reach[edge_index(rec.then_edge)] += 0.5 * p;
-    reach[edge_index(rec.else_edge)] += 0.5 * p;
-  }
-  return reach;
-}
 
 }  // namespace
 
@@ -136,21 +98,18 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
   // further, so a couple of rounds usually suffice.
   while (size > max_size) {
     ++rounds;
-    NodeStats stats(current);
-    const std::uint32_t root = edge_index(DdInternal::edge(current));
-    std::vector<std::uint32_t> candidates = internal_nodes(*mgr, root);
-    CFPM_ASSERT(!candidates.empty());
-    auto children_of = [&](std::uint32_t i) {
-      const DdNode& n = DdInternal::node(*mgr, i);
-      return std::pair<std::uint32_t, std::uint32_t>{
-          edge_index(n.then_edge), edge_index(n.else_edge)};
-    };
+    // Every per-node fact of the round lives in an array indexed by the
+    // table's slots.
+    const NodeStats stats(current);
+    const std::size_t slots = stats.size();
+    const auto internal = static_cast<std::uint32_t>(stats.internal_count());
+    CFPM_ASSERT(internal > 0);
 
     // Reach probabilities are only needed for the reach-weighted metric.
-    const std::unordered_map<std::uint32_t, double> reach =
+    const std::vector<double> reach =
         metric_kind == CollapseMetric::kReachWeightedVariance
-            ? uniform_reach(*mgr, root, candidates)
-            : std::unordered_map<std::uint32_t, double>{};
+            ? stats.uniform_reach()
+            : std::vector<double>{};
 
     // Default selection metric: the *relative* spread of the sub-function,
     // var(n)/avg(n)^2 (Eq. 7 statistics). Collapsing such a node merely
@@ -161,52 +120,63 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
     // destroy the model's near-zero diagonal. Switching-capacitance
     // functions are non-negative, so avg(n) > 0 for every internal node.
     // The alternatives exist for the DESIGN.md ablation.
-    auto metric = [&](std::uint32_t n) {
-      const NodeStats::Entry& e = stats.at(n);
+    auto metric = [&](std::uint32_t s) {
+      const NodeStats::Entry& e = stats.entry(s);
       const double local =
           mode == ApproxMode::kAverage ? e.var : e.mse_of_max();
       switch (metric_kind) {
         case CollapseMetric::kVariance:
           return local;
         case CollapseMetric::kReachWeightedVariance:
-          return reach.at(n) * local;
+          return reach[s] * local;
         case CollapseMetric::kRelativeSpread:
           break;
       }
       return local / (e.avg * e.avg + 1e-12);
     };
+    auto value_of = [&](std::uint32_t s) {
+      const NodeStats::Entry& e = stats.entry(s);
+      return mode == ApproxMode::kAverage ? e.avg : e.max;
+    };
+    std::vector<std::uint32_t> candidates(internal);
     {
-      // Rank on (metric, arena index) pairs: each key is computed once. The
-      // scope frees the pairs before the parent-count maps below are built,
-      // which keeps them out of the collapse's peak memory.
-      std::vector<std::pair<double, std::uint32_t>> ranked;
-      ranked.reserve(candidates.size());
-      for (const std::uint32_t n : candidates) ranked.emplace_back(metric(n), n);
-      std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first < b.first;
-        return a.second < b.second;  // deterministic (arena index)
-      });
-      for (std::size_t k = 0; k < ranked.size(); ++k) {
-        candidates[k] = ranked[k].second;
+      // Rank on (metric, arena index) keys, each computed once. The scope
+      // frees them before the per-slot arrays below are built, which keeps
+      // them out of the collapse's peak memory.
+      struct Ranked {
+        double key;
+        std::uint32_t index;
+        std::uint32_t slot;
+      };
+      std::vector<Ranked> ranked(internal);
+      for (std::uint32_t s = 0; s < internal; ++s) {
+        ranked[s] = {metric(s), stats.node(s), s};
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const Ranked& a, const Ranked& b) {
+                  if (a.key != b.key) return a.key < b.key;
+                  return a.index < b.index;  // deterministic (arena index)
+                });
+      for (std::uint32_t k = 0; k < internal; ++k) {
+        candidates[k] = ranked[k].slot;
       }
     }
 
     // Live-parent counts over the reachable DAG (the root is pinned).
-    std::unordered_map<std::uint32_t, std::size_t> parents;
-    parents.reserve(size);
-    for (const std::uint32_t n : candidates) {
-      const auto [t, e] = children_of(n);
-      ++parents[t];
-      ++parents[e];
+    std::vector<std::uint32_t> parents(slots, 0);
+    for (std::uint32_t s = 0; s < internal; ++s) {
+      ++parents[stats.children(s).then_slot];
+      ++parents[stats.children(s).else_slot];
     }
 
-    std::unordered_set<std::uint32_t> gone;
-    std::unordered_map<std::uint32_t, double> marked;
+    std::vector<std::uint8_t> gone(slots, 0);
+    std::vector<std::optional<double>> marked(slots);
+    std::size_t marks = 0;
     std::size_t removed = 0;
     const std::size_t deficit = size - max_size;
 
-    std::vector<std::uint32_t> undo;       // nodes decremented this mark
-    std::vector<std::uint32_t> undo_gone;  // nodes marked gone this mark
+    std::vector<std::uint32_t> undo;       // slots decremented this mark
+    std::vector<std::uint32_t> undo_gone;  // slots marked gone this mark
     std::vector<std::uint32_t> cascade;
     // Accept a small relative overshoot so the loop terminates crisply.
     const std::size_t grace = std::max<std::size_t>(2, max_size / 8);
@@ -214,57 +184,58 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
     std::uint32_t fallback = 0;
     std::size_t fallback_delta = 0;
 
-    auto run_cascade = [&](std::uint32_t n) {
+    auto run_cascade = [&](std::uint32_t s) {
       undo.clear();
       undo_gone.clear();
       cascade.clear();
-      std::size_t delta = 1;  // n itself is replaced by a leaf
-      gone.insert(n);
-      undo_gone.push_back(n);
-      cascade.push_back(n);
+      std::size_t delta = 1;  // s itself is replaced by a leaf
+      gone[s] = 1;
+      undo_gone.push_back(s);
+      cascade.push_back(s);
       while (!cascade.empty()) {
         const std::uint32_t dead = cascade.back();
         cascade.pop_back();
-        if (DdInternal::is_terminal(*mgr, dead)) continue;
-        const auto [tc, ec] = children_of(dead);
-        for (const std::uint32_t child : {tc, ec}) {
-          auto it = parents.find(child);
-          CFPM_ASSERT(it != parents.end() && it->second > 0);
-          --it->second;
-          undo.push_back(child);
-          if (it->second == 0 && !gone.contains(child)) {
-            gone.insert(child);
+        if (dead >= internal) continue;  // a terminal
+        const NodeStats::Children kids = stats.children(dead);
+        for (const std::uint32_t child : {kids.then_slot, kids.else_slot}) {
+          CFPM_ASSERT(parents[child] > 0);
+          if (--parents[child] == 0 && gone[child] == 0) {
+            gone[child] = 1;
             undo_gone.push_back(child);
             ++delta;
             cascade.push_back(child);
           }
+          undo.push_back(child);
         }
       }
       return delta;
     };
     auto roll_back = [&]() {
       for (const std::uint32_t c : undo) ++parents[c];
-      for (const std::uint32_t g : undo_gone) gone.erase(g);
+      for (const std::uint32_t g : undo_gone) gone[g] = 0;
+    };
+    auto mark = [&](std::uint32_t s) {
+      marked[s] = value_of(s);
+      ++marks;
     };
 
-    for (const std::uint32_t n : candidates) {
+    for (const std::uint32_t s : candidates) {
       if (removed >= deficit) break;
-      if (gone.contains(n)) continue;  // already unreachable
-      const std::size_t delta = run_cascade(n);
+      if (gone[s] != 0) continue;  // already unreachable
+      const std::size_t delta = run_cascade(s);
       if (removed + delta > deficit + grace) {
         roll_back();
         if (!have_fallback || delta < fallback_delta) {
           have_fallback = true;
-          fallback = n;
+          fallback = s;
           fallback_delta = delta;
         }
         continue;
       }
-      const NodeStats::Entry& e = stats.at(n);
-      marked.emplace(n, mode == ApproxMode::kAverage ? e.avg : e.max);
+      mark(s);
       removed += delta;
     }
-    if (marked.empty() || stagnant > 0) {
+    if (marks == 0 || stagnant > 0) {
       // Either every candidate overshoots on its own, or the previous
       // round made no net progress (a mark's removal can be offset by a
       // freshly created leaf). Force the least damaging unmarked candidate
@@ -272,28 +243,25 @@ ApproxResult approximate(const Add& f, std::size_t max_size, ApproxMode mode,
       // more each round, so the loop always converges (in the limit to a
       // single leaf).
       std::size_t forced = std::max<std::size_t>(1, stagnant);
-      if (have_fallback && !marked.contains(fallback)) {
+      if (have_fallback && !marked[fallback]) {
         run_cascade(fallback);
-        const NodeStats::Entry& e = stats.at(fallback);
-        marked.emplace(fallback,
-                       mode == ApproxMode::kAverage ? e.avg : e.max);
+        mark(fallback);
         --forced;
       }
-      for (const std::uint32_t n : candidates) {
+      for (const std::uint32_t s : candidates) {
         if (forced == 0) break;
-        if (marked.contains(n) || gone.contains(n)) continue;
-        run_cascade(n);
-        const NodeStats::Entry& e = stats.at(n);
-        marked.emplace(n, mode == ApproxMode::kAverage ? e.avg : e.max);
+        if (marked[s] || gone[s] != 0) continue;
+        run_cascade(s);
+        mark(s);
         --forced;
       }
     }
-    CFPM_ASSERT(!marked.empty());
+    CFPM_ASSERT(marks > 0);
 
-    Substitution subst(mgr, marked);
-    Add next = DdInternal::make_add(mgr, subst.rebuild(root));
+    Substitution subst(mgr, stats, marked);
+    Add next = DdInternal::make_add(mgr, subst.rebuild(0));
     const std::size_t next_size = next.size();
-    total_marks += marked.size();
+    total_marks += marks;
     stagnant = next_size < size ? 0 : stagnant + 1;
     current = std::move(next);
     size = next_size;
@@ -325,30 +293,27 @@ Add quantize_leaves(const Add& f, std::size_t max_leaves, ApproxMode mode) {
   static const metrics::Counter c_quantize("dd.approx.quantize.run");
   c_quantize.add();
   DdManager* mgr = f.manager();
-  const std::uint32_t root = edge_index(DdInternal::edge(f));
 
   // Probability mass reaching each terminal under uniform inputs.
-  const std::unordered_map<std::uint32_t, double> reach =
-      uniform_reach(*mgr, root, internal_nodes(*mgr, root));
+  const NodeStats stats(f);
+  const std::vector<double> reach = stats.uniform_reach();
 
   // Greedy closest-pair merging on the sorted value axis.
   struct Cluster {
     double value;
     double mass;
-    std::vector<std::uint32_t> members;
+    std::vector<std::uint32_t> members;  // terminal slots
   };
   std::vector<Cluster> clusters;
-  for (const auto& [node, mass] : reach) {
-    if (DdInternal::is_terminal(*mgr, node)) {
-      clusters.push_back({DdInternal::value(*mgr, node), mass, {node}});
-    }
+  for (auto s = static_cast<std::uint32_t>(stats.internal_count());
+       s < stats.size(); ++s) {
+    clusters.push_back(
+        {DdInternal::value(*mgr, stats.node(s)), reach[s], {s}});
   }
-  // Terminals hold distinct values; the index tie-break only keeps the
-  // order independent of the map's iteration order.
+  // Terminals hold distinct finite values, so the order is total.
   std::sort(clusters.begin(), clusters.end(),
             [](const Cluster& a, const Cluster& b) {
-              if (a.value != b.value) return a.value < b.value;
-              return a.members[0] < b.members[0];
+              return a.value < b.value;
             });
   while (clusters.size() > max_leaves) {
     std::size_t best = 0;
@@ -373,12 +338,12 @@ Add quantize_leaves(const Add& f, std::size_t max_leaves, ApproxMode mode) {
     clusters.erase(clusters.begin() + static_cast<long>(best) + 1);
   }
 
-  std::unordered_map<std::uint32_t, double> value_map;
+  std::vector<std::optional<double>> values(stats.size());
   for (const Cluster& c : clusters) {
-    for (const std::uint32_t leaf : c.members) value_map.emplace(leaf, c.value);
+    for (const std::uint32_t leaf : c.members) values[leaf] = c.value;
   }
-  Substitution remap(mgr, value_map);
-  Add result = DdInternal::make_add(mgr, remap.rebuild(root));
+  Substitution remap(mgr, stats, values);
+  Add result = DdInternal::make_add(mgr, remap.rebuild(0));
   mgr->collect_garbage();
   return result;
 }

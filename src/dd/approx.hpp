@@ -14,6 +14,12 @@
 // paper's process flow (Fig. 6): avg(a)+avg(b) == avg(a+b) and
 // max(a)+max(b) >= max(a+b), so local approximation of partial sums keeps
 // the global guarantee.
+//
+// Each collapse round tabulates the current ADD once (NodeStats, stats.hpp)
+// and keeps every per-node fact -- ranking keys, live-parent counts,
+// gone/marked flags, reach, the rebuild memo -- in arrays indexed by that
+// table's slots. Ranking ties break on arena index and the rebuild visits
+// then-children first, so results are deterministic.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,6 @@ namespace cfpm::dd {
 struct DdInternal {
   static Edge edge(const DdHandle& h) { return h.edge_; }
   /// Wraps an already-referenced edge into a handle (takes ownership).
-  static Bdd make_bdd(DdManager* m, Edge e) { return Bdd(m, e); }
   static Add make_add(DdManager* m, Edge e) { return Add(m, e); }
 
   // Reference and record plumbing for implementation files outside the
@@ -26,9 +25,6 @@ struct DdInternal {
   }
   static const DdNode& node(const DdManager& m, std::uint32_t index) {
     return m.node_at(index);
-  }
-  static bool is_terminal(const DdManager& m, std::uint32_t index) {
-    return m.is_terminal_index(index);
   }
   static double value(const DdManager& m, std::uint32_t index) {
     return m.value_of(index);

@@ -155,7 +155,6 @@ class DdManager {
   friend class DdHandle;
   friend class Bdd;
   friend class Add;
-  friend class NodeStats;   // stats.cpp traversals
   friend struct DdInternal; // private bridge for dd implementation files
 
   /// One slot of the unified computed cache: binary apply entries store
@@ -310,7 +309,6 @@ class DdHandle {
   Edge edge_ = kNilEdge;  // owns one reference when != kNilEdge
 
   friend class DdManager;
-  friend class NodeStats;
   friend struct DdInternal;
 };
 
@@ -343,7 +341,6 @@ class Bdd : public DdHandle {
   using DdHandle::DdHandle;
   friend class DdManager;
   friend class Add;
-  friend struct DdInternal;
 };
 
 /// Arithmetic (discrete-valued) function handle. Edges are always plain.

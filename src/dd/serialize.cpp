@@ -31,10 +31,9 @@ std::string crc_hex(std::uint32_t crc) {
   return out;
 }
 
-/// Writes the DAG under `root` in format v2. File ids number the *regular*
-/// (uncomplemented) nodes in post-order; complement bits ride on the edge
-/// tokens, so a function and its negation serialize to the same node list.
-void write_dd(std::ostream& os, const DdManager& mgr, Edge root, bool is_bdd) {
+/// Writes the ADD under `root` in format v2. File ids number the nodes
+/// 0..count-1 in post-order, so every child precedes its parent.
+void write_dd(std::ostream& os, const DdManager& mgr, Edge root) {
   CFPM_FAILPOINT("dd.serialize.write");
   std::unordered_map<std::uint32_t, std::size_t> ids;
   std::vector<std::uint32_t> order;
@@ -54,16 +53,13 @@ void write_dd(std::ostream& os, const DdManager& mgr, Edge root, bool is_bdd) {
     }
   }
 
-  auto token = [&](Edge e) {
-    std::string s = edge_complemented(e) ? "!" : "";
-    return s + std::to_string(ids.at(edge_index(e)));
-  };
+  auto token = [&](Edge e) { return ids.at(edge_index(e)); };
 
   // The body is rendered into memory first so the CRC trailer can cover the
   // exact bytes written. Every line is already canonical (no comments, no
   // stray whitespace), which is what the reader checksums too.
   std::ostringstream body;
-  body << "cfpm-dd 2 " << (is_bdd ? "bdd" : "add") << "\n";
+  body << "cfpm-dd 2 add\n";
   body << "vars " << mgr.num_vars() << "\n";
   // The node structure is only canonical under the manager's variable
   // order (which sifting may have changed); record it.
@@ -107,50 +103,34 @@ bool next_line(std::istream& is, std::string& line, std::size_t& lineno) {
   return false;
 }
 
-/// The header and `vars` lines of a serialized diagram.
-struct Preamble {
-  bool is_bdd = false;
-  std::size_t vars = 0;
-};
-
-/// Parses the `cfpm-dd 2 <add|bdd>` and `vars <n>` lines, each fetched into
-/// `line` by expect_line(what). Rejects a diagram of the other kind.
+/// Parses the `cfpm-dd 2 add` and `vars <n>` lines, each fetched into
+/// `line` by expect_line(what); returns the variable count.
 template <class ExpectLine>
-Preamble read_preamble(ExpectLine&& expect_line, const std::string& line,
-                       const std::size_t& lineno, bool want_bdd) {
-  Preamble p;
+std::size_t read_preamble(ExpectLine&& expect_line, const std::string& line,
+                          const std::size_t& lineno) {
   expect_line("header");
   {
     std::istringstream ss(line);
     std::string magic, kind, extra;
     int v = 0;
-    if ((ss >> magic >> v >> kind) && !(ss >> extra) && magic == "cfpm-dd" &&
-        v == 2 && (kind == "add" || kind == "bdd")) {
-      p.is_bdd = kind == "bdd";
-    } else {
+    if (!(ss >> magic >> v >> kind) || (ss >> extra) || magic != "cfpm-dd" ||
+        v != 2 || kind != "add") {
       throw ParseError("read_dd: bad header '" + line + "'", lineno);
     }
   }
-  if (p.is_bdd != want_bdd) {
-    throw ParseError(std::string("read_dd: file holds a ") +
-                         (p.is_bdd ? "bdd" : "add") + ", caller wants a " +
-                         (want_bdd ? "bdd" : "add"),
-                     lineno);
-  }
 
   expect_line("vars");
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> p.vars) || kw != "vars") {
-      throw ParseError("read_dd: expected 'vars <n>'", lineno);
-    }
+  std::istringstream ss(line);
+  std::string kw;
+  std::size_t vars = 0;
+  if (!(ss >> kw >> vars) || kw != "vars") {
+    throw ParseError("read_dd: expected 'vars <n>'", lineno);
   }
-  return p;
+  return vars;
 }
 
-/// Shared add/bdd reader. Returns a referenced root edge (plain for ADDs).
-Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
+/// Reads an ADD. Returns a referenced plain root edge.
+Edge read_dd(std::istream& is, DdManager& mgr) {
   CFPM_FAILPOINT("dd.serialize.read");
   std::string line;
   std::size_t lineno = 0;
@@ -168,9 +148,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
     crc.update("\n");
   };
 
-  const Preamble preamble = read_preamble(expect_line, line, lineno, want_bdd);
-  const bool file_is_bdd = preamble.is_bdd;
-  const std::size_t nvars = preamble.vars;
+  const std::size_t nvars = read_preamble(expect_line, line, lineno);
   if (nvars > mgr.num_vars()) {
     throw ParseError("read_dd: model needs " + std::to_string(nvars) +
                          " variables, manager has " +
@@ -184,8 +162,17 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
     std::istringstream ss(line);
     std::string kw;
     ss >> kw;
+    std::vector<bool> used(mgr.num_vars(), false);
     std::uint32_t v;
-    while (ss >> v) saved_order.push_back(v);
+    while (ss >> v) {
+      if (v >= nvars || used[v]) {
+        throw ParseError("read_dd: order is not a permutation of the " +
+                             std::to_string(nvars) + " variables",
+                         lineno);
+      }
+      used[v] = true;
+      saved_order.push_back(v);
+    }
     if (saved_order.size() != nvars) {
       throw ParseError("read_dd: order lists " +
                            std::to_string(saved_order.size()) + " of " +
@@ -200,8 +187,6 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
       // Extend to the manager's full width: unmentioned variables keep
       // their relative order below the recorded ones.
       std::vector<std::uint32_t> full(saved_order);
-      std::vector<bool> used(mgr.num_vars(), false);
-      for (std::uint32_t v2 : saved_order) used[v2] = true;
       for (std::uint32_t v2 = 0; v2 < mgr.num_vars(); ++v2) {
         if (!used[v2]) full.push_back(v2);
       }
@@ -219,31 +204,21 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
   }
   if (count == 0) throw ParseError("read_dd: empty node list", lineno);
 
-  // Edge token: "<id>" or (bdd only) "!<id>". Resolves against already
-  // parsed entries; the '!' composes as an XOR on the stored edge's
-  // complement bit.
-  std::vector<Edge> by_id(count, kNilEdge);
+  // Edge token: the id of an already parsed node. `by_id` grows one node
+  // line at a time and is never sized from the declared count, which no
+  // check has verified yet.
+  std::vector<Edge> by_id;
   auto parse_edge = [&](std::istringstream& ss) {
     std::string tok;
     if (!(ss >> tok)) {
       throw ParseError("read_dd: missing edge token in '" + line + "'",
                        lineno);
     }
-    bool complement = false;
-    if (!tok.empty() && tok[0] == '!') {
-      if (!file_is_bdd) {
-        throw ParseError("read_dd: complement edge outside bdd in '" + line +
-                             "'",
-                         lineno);
-      }
-      complement = true;
-      tok.erase(0, 1);
-    }
     const auto id = parse_number<std::size_t>(tok);
-    if (!id || *id >= count || by_id[*id] == kNilEdge) {
+    if (!id || *id >= by_id.size()) {
       throw ParseError("read_dd: bad edge token in '" + line + "'", lineno);
     }
-    return complement ? edge_not(by_id[*id]) : by_id[*id];
+    return by_id[*id];
   };
 
   // Each resolved entry owns one manager reference to its node.
@@ -251,9 +226,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
     DdManager& mgr;
     std::vector<Edge>& edges;
     ~Releaser() {
-      for (const Edge e : edges) {
-        if (e != kNilEdge) DdInternal::deref(mgr, e);
-      }
+      for (const Edge e : edges) DdInternal::deref(mgr, e);
     }
   } releaser{mgr, by_id};
 
@@ -262,9 +235,12 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
     std::istringstream ss(line);
     std::size_t id = 0;
     char kind = 0;
-    if (!(ss >> id >> kind) || id >= count || by_id[id] != kNilEdge) {
+    if (!(ss >> id >> kind) || id != i) {  // ids run 0..count-1 in order
       throw ParseError("read_dd: bad node line '" + line + "'", lineno);
     }
+    // Make room first: storing a created node's edge must not throw, or its
+    // reference would leak.
+    if (by_id.size() == by_id.capacity()) by_id.reserve(2 * by_id.size() + 16);
     if (kind == 'T') {
       // The value token is parsed with from_chars (never `ss >> double`,
       // which honors the imbued locale): a full-match parse with nothing
@@ -275,13 +251,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
           (ss >> extra)) {
         throw ParseError("read_dd: bad terminal line '" + line + "'", lineno);
       }
-      const double value = *parsed;
-      if (file_is_bdd && value != 1.0) {
-        // The BDD fragment has the single terminal 1; zero is !1.
-        throw ParseError("read_dd: bdd terminal must be 1, got '" + line + "'",
-                         lineno);
-      }
-      by_id[id] = DdInternal::terminal(mgr, value);  // map's reference
+      by_id.push_back(DdInternal::terminal(mgr, *parsed));  // its reference
     } else if (kind == 'N') {
       std::uint32_t var = 0;
       if (!(ss >> var) || var >= nvars) {
@@ -291,7 +261,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
       const Edge e = parse_edge(ss);
       DdInternal::ref(mgr, t);  // consumed by make_node
       DdInternal::ref(mgr, e);
-      by_id[id] = DdInternal::make_node(mgr, var, t, e);
+      by_id.push_back(DdInternal::make_node(mgr, var, t, e));
     } else {
       throw ParseError("read_dd: unknown node kind '" + line + "'", lineno);
     }
@@ -349,12 +319,7 @@ Edge read_dd(std::istream& is, DdManager& mgr, bool want_bdd) {
 
 void write_add(std::ostream& os, const Add& f) {
   CFPM_REQUIRE(!f.is_null());
-  write_dd(os, *f.manager(), DdInternal::edge(f), /*is_bdd=*/false);
-}
-
-void write_bdd(std::ostream& os, const Bdd& f) {
-  CFPM_REQUIRE(!f.is_null());
-  write_dd(os, *f.manager(), DdInternal::edge(f), /*is_bdd=*/true);
+  write_dd(os, *f.manager(), DdInternal::edge(f));
 }
 
 std::size_t peek_add_vars(std::istream& is) {
@@ -366,8 +331,7 @@ std::size_t peek_add_vars(std::istream& is) {
       throw ParseError(std::string("read_dd: missing ") + what, lineno);
     }
   };
-  const std::size_t vars =
-      read_preamble(expect_line, line, lineno, /*want_bdd=*/false).vars;
+  const std::size_t vars = read_preamble(expect_line, line, lineno);
   is.clear();
   if (start == std::istream::pos_type(-1) || !is.seekg(start)) {
     throw ParseError("read_dd: cannot rewind the stream after its header");
@@ -376,11 +340,7 @@ std::size_t peek_add_vars(std::istream& is) {
 }
 
 Add read_add(std::istream& is, DdManager& mgr) {
-  return DdInternal::make_add(&mgr, read_dd(is, mgr, /*want_bdd=*/false));
-}
-
-Bdd read_bdd(std::istream& is, DdManager& mgr) {
-  return DdInternal::make_bdd(&mgr, read_dd(is, mgr, /*want_bdd=*/true));
+  return DdInternal::make_add(&mgr, read_dd(is, mgr));
 }
 
 }  // namespace cfpm::dd

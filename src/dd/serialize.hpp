@@ -1,22 +1,21 @@
-// Textual serialization of decision diagrams.
+// Textual serialization of ADDs.
 //
 // This is what makes the paper's IP argument concrete: a vendor can ship
 // the switching-capacitance ADD of a macro (a black-box discrete function)
 // without revealing the gate-level netlist it was derived from.
 //
 // Format v2 (line oriented, '#' comments allowed):
-//   cfpm-dd 2 <add|bdd>
+//   cfpm-dd 2 add
 //   vars <n>
 //   order <var@level0> <var@level1> ...   # optional; identity when absent
 //   nodes <count>
 //   <id> T <value>                 # terminal
 //   <id> N <var> <then> <else>     # internal node, children appear earlier
-//   root <edge>
-// Child and root references are edge tokens: a node id, optionally prefixed
-// with '!' for a complement edge (NOT of the referenced function). The
-// complement prefix is only valid in 'bdd' diagrams, mirroring the in-memory
-// restriction of complement edges to the BDD fragment; a serialized BDD has
-// the single terminal 1 and encodes logical zero as root !<id-of-1>.
+//   root <id>
+//   crc <8 hex digits>             # optional; checked when present
+// Ids run 0..count-1 in file order, and child and root references name
+// earlier ids. ADD edges are always plain, so no token carries a
+// complement mark; any other header kind (such as 'bdd') is malformed.
 //
 // v2 is the only format read or written; a v1 header ("cfpm-add 1") is
 // rejected as malformed.
@@ -35,22 +34,14 @@ namespace cfpm::dd {
 /// Writes `f` to `os` (format v2). Throws cfpm::Error on stream failure.
 void write_add(std::ostream& os, const Add& f);
 
-/// Writes `f` to `os` (format v2, complement-edge tokens allowed).
-/// Throws cfpm::Error on stream failure.
-void write_bdd(std::ostream& os, const Bdd& f);
-
 /// Reads the header and `vars` line of a serialized ADD, then rewinds `is`
 /// to where it started, so a caller can check the diagram's width before
 /// sizing a manager for read_add. Throws cfpm::ParseError on a malformed
 /// header or a stream that cannot rewind.
 std::size_t peek_add_vars(std::istream& is);
 
-/// Reads an ADD (v2 'add') into `mgr` (which must have at least the
+/// Reads an ADD into `mgr` (which must have at least the
 /// serialized variable count). Throws cfpm::ParseError on malformed input.
 Add read_add(std::istream& is, DdManager& mgr);
-
-/// Reads a BDD (v2 'bdd') into `mgr`. Throws cfpm::ParseError on malformed
-/// input.
-Bdd read_bdd(std::istream& is, DdManager& mgr);
 
 }  // namespace cfpm::dd

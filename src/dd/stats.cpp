@@ -10,41 +10,58 @@ namespace cfpm::dd {
 
 NodeStats::NodeStats(const Add& f) {
   CFPM_REQUIRE(!f.is_null());
-  mgr_ = f.manager();
-  root_ = edge_index(DdInternal::edge(f));  // ADD edges are plain
-  compute(root_);
-}
+  const DdManager& mgr = *f.manager();
+  std::vector<std::uint32_t> terminals;
+  std::uint32_t top = 0;  // highest reachable arena index
+  DdInternal::for_each_node(
+      mgr, edge_index(DdInternal::edge(f)),
+      [&](std::uint32_t i, const DdNode& n) {
+        (n.is_terminal() ? terminals : nodes_).push_back(i);
+        top = std::max(top, i);
+      });
+  // Children sit at deeper levels, so level order puts every parent before
+  // its children (and the root first).
+  std::sort(nodes_.begin(), nodes_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return mgr.level_of_var(DdInternal::node(mgr, a).var) <
+                     mgr.level_of_var(DdInternal::node(mgr, b).var);
+            });
+  children_.resize(nodes_.size());
+  nodes_.insert(nodes_.end(), terminals.begin(), terminals.end());
+  std::vector<std::uint32_t> slot_of(std::size_t{top} + 1);
+  for (std::uint32_t s = 0; s < nodes_.size(); ++s) slot_of[nodes_[s]] = s;
 
-const NodeStats::Entry& NodeStats::at(std::uint32_t node_index) const {
-  auto it = entries_.find(node_index);
-  CFPM_REQUIRE(it != entries_.end());
-  return it->second;
-}
-
-const NodeStats::Entry& NodeStats::root() const { return at(root_); }
-
-const NodeStats::Entry& NodeStats::compute(std::uint32_t node_index) {
-  auto it = entries_.find(node_index);
-  if (it != entries_.end()) return it->second;
-
-  Entry e;
-  const DdNode& n = DdInternal::node(*mgr_, node_index);
-  if (n.is_terminal()) {
-    e.avg = e.max = e.min = DdInternal::value(*mgr_, node_index);
-    e.var = 0.0;
-  } else {
+  entries_.resize(nodes_.size());
+  for (std::size_t s = nodes_.size(); s-- > 0;) {
+    const DdNode& n = DdInternal::node(mgr, nodes_[s]);
+    Entry& e = entries_[s];
+    if (n.is_terminal()) {
+      e.avg = e.max = e.min = DdInternal::value(mgr, nodes_[s]);
+      continue;
+    }
     // Children may skip levels; the recursions of Eq. 7 remain valid on
     // reduced diagrams because a sub-function is constant in any skipped
     // variable.
-    const Entry l = compute(edge_index(n.else_edge));  // copy: map may rehash
-    const Entry r = compute(edge_index(n.then_edge));
+    children_[s] = {slot_of[edge_index(n.then_edge)],
+                    slot_of[edge_index(n.else_edge)]};
+    const Entry& l = entries_[children_[s].else_slot];
+    const Entry& r = entries_[children_[s].then_slot];
     e.avg = 0.5 * (l.avg + r.avg);
     e.var = 0.5 * (l.var + (l.avg - e.avg) * (l.avg - e.avg) +
                    r.var + (r.avg - e.avg) * (r.avg - e.avg));
     e.max = std::max(l.max, r.max);
     e.min = std::min(l.min, r.min);
   }
-  return entries_.emplace(node_index, e).first->second;
+}
+
+std::vector<double> NodeStats::uniform_reach() const {
+  std::vector<double> reach(size(), 0.0);
+  reach[0] = 1.0;
+  for (std::size_t s = 0; s < internal_count(); ++s) {
+    reach[children_[s].then_slot] += 0.5 * reach[s];
+    reach[children_[s].else_slot] += 0.5 * reach[s];
+  }
+  return reach;
 }
 
 // ---------------------------------------------------------------------------
@@ -112,17 +129,14 @@ std::vector<double> Add::leaf_values() const {
 
 std::vector<std::uint8_t> argmax_assignment(const Add& f) {
   CFPM_REQUIRE(!f.is_null());
-  NodeStats stats(f);
+  const NodeStats stats(f);
   const DdManager& mgr = *f.manager();
   std::vector<std::uint8_t> assignment(mgr.num_vars(), 0);
-  std::uint32_t i = edge_index(DdInternal::edge(f));
-  while (!DdInternal::node(mgr, i).is_terminal()) {
-    const DdNode& n = DdInternal::node(mgr, i);
-    const std::uint32_t then_i = edge_index(n.then_edge);
-    const std::uint32_t else_i = edge_index(n.else_edge);
-    const bool take_then = stats.at(then_i).max >= stats.at(else_i).max;
-    assignment[n.var] = take_then ? 1 : 0;
-    i = take_then ? then_i : else_i;
+  for (std::uint32_t s = 0; s < stats.internal_count();) {
+    const auto [then_s, else_s] = stats.children(s);
+    const bool take_then = stats.entry(then_s).max >= stats.entry(else_s).max;
+    assignment[DdInternal::node(mgr, stats.node(s)).var] = take_then ? 1 : 0;
+    s = take_then ? then_s : else_s;
   }
   return assignment;
 }

@@ -8,13 +8,16 @@
 //   min(n)  - minimum value
 //   mse(n)  - var(n) + (max(n) - avg(n))^2, the mean square error of
 //             replacing the sub-function by its maximum (Eq. 8)
-// All statistics are computed in one linear traversal of the DAG. ADD
-// edges are always plain, so nodes are identified by bare arena index.
+// The statistics live in one dense node table. Each reachable node gets a
+// *slot*: the internal nodes in level order (root first, so every parent
+// precedes its children), then the terminals. Entries are filled bottom-up
+// in one loop over the slots in reverse, and the collapse engine keeps all
+// its per-node state in arrays indexed by the same slots.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "dd/manager.hpp"
 
@@ -39,20 +42,32 @@ class NodeStats {
       return var + (max - avg) * (max - avg);
     }
   };
+  struct Children {
+    std::uint32_t then_slot;
+    std::uint32_t else_slot;
+  };
 
-  /// Computes statistics for every node reachable from `f`.
+  /// Tabulates every node reachable from `f`; the root is slot 0.
   explicit NodeStats(const Add& f);
 
-  const Entry& at(std::uint32_t node_index) const;
-  const Entry& root() const;
-  std::size_t node_count() const noexcept { return entries_.size(); }
+  /// Slots [0, internal_count()) hold internal nodes, the rest terminals.
+  std::size_t size() const noexcept { return nodes_.size(); }
+  std::size_t internal_count() const noexcept { return children_.size(); }
+  /// Arena index of the node in `slot`.
+  std::uint32_t node(std::uint32_t slot) const { return nodes_[slot]; }
+  /// Child slots of an internal slot; both are larger than `slot`.
+  const Children& children(std::uint32_t slot) const { return children_[slot]; }
+  const Entry& entry(std::uint32_t slot) const { return entries_[slot]; }
+  const Entry& root() const { return entries_.front(); }
+
+  /// Probability that a uniformly random assignment reaches each slot,
+  /// accumulated parent by parent in slot order.
+  std::vector<double> uniform_reach() const;
 
  private:
-  const Entry& compute(std::uint32_t node_index);
-
-  const DdManager* mgr_ = nullptr;
-  std::uint32_t root_ = 0;  // arena index of the root node
-  std::unordered_map<std::uint32_t, Entry> entries_;
+  std::vector<std::uint32_t> nodes_;  // slot -> arena index
+  std::vector<Children> children_;    // internal slot -> child slots
+  std::vector<Entry> entries_;        // slot -> statistics
 };
 
 }  // namespace cfpm::dd

@@ -369,31 +369,6 @@ CheckResult check_serialize_roundtrip(const Netlist& n,
     }
   }
 
-  // BDD fragment: a random expression exercises complement-edge tokens.
-  dd::DdManager bmgr(nvars);
-  dd::Bdd b = bmgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(nvars)));
-  const std::size_t ops = 4 + rng.next_below(24);
-  for (std::size_t k = 0; k < ops; ++k) {
-    const dd::Bdd v =
-        bmgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(nvars)));
-    switch (rng.next_below(4)) {
-      case 0: b = b & v; break;
-      case 1: b = b | v; break;
-      case 2: b = b ^ v; break;
-      default: b = !b; break;
-    }
-  }
-  std::stringstream bs;
-  dd::write_bdd(bs, b);
-  dd::DdManager bfresh(nvars);
-  const dd::Bdd b2 = dd::read_bdd(bs, bfresh);
-  for (std::size_t p = 0; p < ctx.patterns; ++p) {
-    fill_random_bits(rng, a);
-    if (b.eval(a) != b2.eval(a)) {
-      return fail("BDD round-trip changed the function on assignment " +
-                  bits_string(a));
-    }
-  }
   return pass();
 }
 
@@ -709,8 +684,7 @@ constexpr Check kChecks[] = {
      "pointwise (Eq. 8)",
      check_collapse_max},
     {"serialize-roundtrip",
-     "serialize v2 round-trips ADDs bit-exactly and BDDs (complement edges) "
-     "function-exactly into a fresh manager",
+     "serialize v2 round-trips ADDs bit-exactly into a fresh manager",
      check_serialize_roundtrip},
     {"sift-equivalence",
      "sifting preserves the function and never invalidates a compiled "

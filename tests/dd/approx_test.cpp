@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dd/manager.hpp"
+#include "dd/serialize.hpp"
 #include "dd/stats.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -245,6 +248,75 @@ TEST(Approx, ApproxCommutesWithAdditionInExpectation) {
   Add am = approximate_to(a, 3, ApproxMode::kUpperBound);
   Add bm = approximate_to(b, 3, ApproxMode::kUpperBound);
   EXPECT_GE((am + bm).max_value() + 1e-12, (a + b).max_value());
+}
+
+/// The checksum trailer of the saved form of `f`, which covers the variable
+/// order and every node.
+std::string saved_crc(const Add& f) {
+  std::stringstream ss;
+  write_add(ss, f);
+  const std::string text = ss.str();
+  return text.substr(text.rfind("crc ") + 4, 8);
+}
+
+TEST(Approx, EveryMetricModeAndQuantizeIsPinned) {
+  // One fixed value-rich ADD over 12 variables, collapsed to a fifth of its
+  // size under each metric and mode and quantized to a few leaves; each
+  // result's checksum is pinned, so a change to ranking, tie-breaks, reach
+  // sums, cascades or the rebuild shows up here. A deliberate change must
+  // update these pins in the same change.
+  constexpr std::size_t kWide = 12;
+  auto make = [](DdManager& mgr) {
+    Xoshiro256 rng(2718);
+    Add f = mgr.constant(0.0);
+    for (int i = 0; i < 24; ++i) {
+      Bdd v[3];
+      for (Bdd& b : v) {
+        b = mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(kWide)));
+      }
+      const Bdd prod =
+          rng.next_bool(0.5) ? (v[0] & !v[1]) : ((v[0] ^ v[1]) & v[2]);
+      f = f + Add(prod).times(1.0 + static_cast<double>(rng.next_below(40)));
+    }
+    return f;
+  };
+  struct Pin {
+    CollapseMetric metric;
+    ApproxMode mode;
+    const char* crc;
+  };
+  const Pin pins[] = {
+      {CollapseMetric::kRelativeSpread, ApproxMode::kAverage, "5a66c283"},
+      {CollapseMetric::kRelativeSpread, ApproxMode::kUpperBound, "1463aa9e"},
+      {CollapseMetric::kVariance, ApproxMode::kAverage, "feb31ee5"},
+      {CollapseMetric::kVariance, ApproxMode::kUpperBound, "8e7f5eb7"},
+      {CollapseMetric::kReachWeightedVariance, ApproxMode::kAverage,
+       "0dcd7ef1"},
+      {CollapseMetric::kReachWeightedVariance, ApproxMode::kUpperBound,
+       "33efd5db"},
+  };
+  for (const Pin& pin : pins) {
+    DdManager mgr(kWide);
+    const Add f = make(mgr);
+    const ApproxResult r = approximate(f, f.size() / 5, pin.mode, pin.metric);
+    EXPECT_EQ(saved_crc(r.function), pin.crc)
+        << "metric " << static_cast<int>(pin.metric) << ", mode "
+        << static_cast<int>(pin.mode) << ", size " << f.size() << " -> "
+        << r.final_size << " in " << r.rounds << " rounds";
+  }
+  const struct {
+    ApproxMode mode;
+    const char* crc;
+  } quantized[] = {{ApproxMode::kAverage, "f31dcae1"},
+                   {ApproxMode::kUpperBound, "a4976274"}};
+  for (const auto& pin : quantized) {
+    DdManager mgr(kWide);
+    const Add f = make(mgr);
+    const Add q = quantize_leaves(f, 6, pin.mode);
+    EXPECT_EQ(saved_crc(q), pin.crc)
+        << "mode " << static_cast<int>(pin.mode) << ", "
+        << f.leaf_values().size() << " leaves";
+  }
 }
 
 }  // namespace

@@ -117,35 +117,6 @@ TEST(Serialize, MalformedInputsThrow) {
 }
 
 
-TEST(Serialize, BddWithComplementEdgesRoundTrips) {
-  // x0 XOR x1 OR NOT x2: its BDD carries complement edges (the shared-x1
-  // xor core and the negated literal), so the v2 writer must emit '!'
-  // tokens and the reader must reconstruct the same shared shape.
-  DdManager mgr(3);
-  Bdd f = (mgr.bdd_var(0) ^ mgr.bdd_var(1)) | !mgr.bdd_var(2);
-  std::stringstream ss;
-  write_bdd(ss, f);
-  EXPECT_NE(ss.str().find("cfpm-dd 2 bdd"), std::string::npos);
-  EXPECT_NE(ss.str().find('!'), std::string::npos);
-
-  DdManager mgr2(3);
-  Bdd g = read_bdd(ss, mgr2);
-  EXPECT_EQ(g.size(), f.size());
-  for (unsigned m = 0; m < 8; ++m) {
-    std::uint8_t a[3] = {static_cast<std::uint8_t>(m & 1),
-                         static_cast<std::uint8_t>((m >> 1) & 1),
-                         static_cast<std::uint8_t>((m >> 2) & 1)};
-    EXPECT_EQ(g.eval(a), f.eval(a)) << "minterm " << m;
-  }
-
-  // Constant zero is a complemented root edge to the 1 terminal.
-  std::stringstream zs;
-  write_bdd(zs, mgr.bdd_zero());
-  DdManager mgr3(3);
-  Bdd z = read_bdd(zs, mgr3);
-  EXPECT_TRUE(z.is_zero());
-}
-
 TEST(Serialize, AddWithManyTerminalsRoundTrips) {
   DdManager mgr(3);
   Add f = sample_add(mgr);  // leaves {0, 40, 50, 90, 100}
@@ -172,23 +143,58 @@ TEST(Serialize, CorruptHeadersAndKindMismatchesRejected) {
     std::stringstream ss(text);
     EXPECT_THROW(read_add(ss, mgr), ParseError) << text;
   };
-  auto expect_bdd_error = [&](const std::string& text) {
-    std::stringstream ss(text);
-    EXPECT_THROW(read_bdd(ss, mgr), ParseError) << text;
-  };
   const std::string body = "vars 1\nnodes 1\n0 T 1\nroot 0\n";
   expect_add_error("cfpm-dd 3 add\n" + body);    // unknown version
   expect_add_error("cfpm-dd 2 zdd\n" + body);    // unknown kind
   expect_add_error("cfpm-dd 2 add extra\n" + body);
-  expect_add_error("cfpm-dd 2 bdd\n" + body);    // kind mismatch vs caller
-  expect_bdd_error("cfpm-dd 2 add\n" + body);
   expect_add_error("cfpm-add 1\n" + body);       // v1 is no longer read
-  expect_bdd_error("cfpm-add 1\n" + body);
-  // Complement token outside the BDD fragment.
+  // Complement token: ADD edges are always plain.
   expect_add_error(
       "cfpm-dd 2 add\nvars 1\nnodes 3\n0 T 0\n1 T 2\n2 N 0 !1 0\nroot 2\n");
-  // BDD terminal other than 1.
-  expect_bdd_error("cfpm-dd 2 bdd\nvars 1\nnodes 1\n0 T 0.5\nroot 0\n");
+}
+
+TEST(Serialize, BddHeaderIsABadHeader) {
+  std::stringstream ss("cfpm-dd 2 bdd\nvars 1\nnodes 1\n0 T 1\nroot 0\n");
+  DdManager mgr(1);
+  try {
+    read_add(ss, mgr);
+    FAIL() << "a bdd header was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialize, ForgedNodeCountIsAParseErrorNotAnAllocation) {
+  // The declared count is read before any node or the checksum; a reader
+  // that sized its id table from it would ask for 800 GB here.
+  DdManager mgr(2);
+  std::stringstream ss;
+  write_add(ss, Add(mgr.bdd_var(0)).times(3.0));
+  std::string text = ss.str();
+  const auto pos = text.find("nodes 3\n");
+  ASSERT_NE(pos, std::string::npos) << text;
+  text.replace(pos, 7, "nodes 100000000000");
+  std::istringstream forged(text);
+  DdManager mgr2(2);
+  EXPECT_THROW(read_add(forged, mgr2), ParseError);
+}
+
+TEST(Serialize, NodeIdsMustRunInOrder) {
+  DdManager mgr(2);
+  auto expect_parse_error = [&](const std::string& text) {
+    std::stringstream ss(text);
+    EXPECT_THROW(read_add(ss, mgr), ParseError) << text;
+  };
+  // Ids out of file order, and an id past the declared count.
+  expect_parse_error(
+      "cfpm-dd 2 add\nvars 1\nnodes 3\n1 T 0\n0 T 2\n2 N 0 1 0\nroot 2\n");
+  expect_parse_error("cfpm-dd 2 add\nvars 1\nnodes 1\n5 T 0\nroot 5\n");
+  // An order line that is not a permutation of the declared variables.
+  expect_parse_error(
+      "cfpm-dd 2 add\nvars 2\norder 0 7\nnodes 1\n0 T 0\nroot 0\n");
+  expect_parse_error(
+      "cfpm-dd 2 add\nvars 2\norder 1 1\nnodes 1\n0 T 0\nroot 0\n");
 }
 
 TEST(Serialize, RoundTripAfterSifting) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -283,6 +285,101 @@ TEST(Stats, FlatMarkTraversalsMatchHashSetWalk) {
       bdds.push_back(random_bdd(mgr, rng, kWide));
     }
     expect_walks_agree(adds, bdds, "after GC and sift");
+  }
+}
+
+/// The per-node statistics as the recursion over a hash map of arena
+/// indices computes them: the reference the dense node table must match.
+using Reference = std::unordered_map<std::uint32_t, NodeStats::Entry>;
+
+const NodeStats::Entry& reference_stats(const DdManager& mgr,
+                                        std::uint32_t i, Reference& ref) {
+  if (auto it = ref.find(i); it != ref.end()) return it->second;
+  NodeStats::Entry e;
+  const DdNode& n = DdInternal::node(mgr, i);
+  if (n.is_terminal()) {
+    e.avg = e.max = e.min = DdInternal::value(mgr, i);
+  } else {
+    const NodeStats::Entry l =
+        reference_stats(mgr, edge_index(n.else_edge), ref);
+    const NodeStats::Entry r =
+        reference_stats(mgr, edge_index(n.then_edge), ref);
+    e.avg = 0.5 * (l.avg + r.avg);
+    e.var = 0.5 * (l.var + (l.avg - e.avg) * (l.avg - e.avg) + r.var +
+                   (r.avg - e.avg) * (r.avg - e.avg));
+    e.max = std::max(l.max, r.max);
+    e.min = std::min(l.min, r.min);
+  }
+  return ref.emplace(i, e).first->second;
+}
+
+/// Like random_wide_add, with non-dyadic weights: every statistic then
+/// rounds, so a sum taken in another order shows in the low bits.
+Add random_real_add(DdManager& mgr, Xoshiro256& rng, std::size_t vars) {
+  Add f = mgr.constant(0.0);
+  for (int i = 0; i < 8; ++i) {
+    const Bdd term = random_bdd(mgr, rng, vars);
+    f = f + Add(term).times(0.1 + 20.0 * rng.next_double());
+  }
+  return f;
+}
+
+void expect_table_matches_reference(const Add& f) {
+  const DdManager& mgr = *f.manager();
+  const NodeStats table(f);
+  Reference ref;
+  reference_stats(mgr, edge_index(DdInternal::edge(f)), ref);
+  ASSERT_EQ(table.size(), ref.size());
+  ASSERT_EQ(table.node(0), edge_index(DdInternal::edge(f)));  // root first
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::uint32_t s = 0; s < table.size(); ++s) {
+    const std::uint32_t i = table.node(s);
+    ASSERT_TRUE(ref.contains(i)) << "slot " << s;
+    const NodeStats::Entry& want = ref.at(i);
+    const NodeStats::Entry& got = table.entry(s);
+    EXPECT_EQ(bits(got.avg), bits(want.avg)) << "slot " << s;
+    EXPECT_EQ(bits(got.var), bits(want.var)) << "slot " << s;
+    EXPECT_EQ(bits(got.max), bits(want.max)) << "slot " << s;
+    EXPECT_EQ(bits(got.min), bits(want.min)) << "slot " << s;
+    const DdNode& n = DdInternal::node(mgr, i);
+    ASSERT_EQ(n.is_terminal(), s >= table.internal_count()) << "slot " << s;
+    if (n.is_terminal()) continue;
+    // Every parent comes before its children.
+    const NodeStats::Children kids = table.children(s);
+    EXPECT_GT(kids.then_slot, s);
+    EXPECT_GT(kids.else_slot, s);
+    EXPECT_EQ(table.node(kids.then_slot), edge_index(n.then_edge));
+    EXPECT_EQ(table.node(kids.else_slot), edge_index(n.else_edge));
+  }
+}
+
+TEST(Stats, DenseTableMatchesRecursiveReference) {
+  constexpr std::size_t kWide = 9;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    DdManager mgr(kWide);
+    Xoshiro256 rng(seed * 7919);
+    std::vector<Add> adds;
+    for (int k = 0; k < 4; ++k) {
+      adds.push_back(random_real_add(mgr, rng, kWide));
+    }
+    // Grow the arena well past any one diagram, then free most of it: the
+    // survivors sit among free-list holes at high indices.
+    std::vector<Add> scratch;
+    for (int k = 0; k < 40; ++k) {
+      scratch.push_back(random_wide_add(mgr, rng, kWide));
+    }
+    scratch.clear();
+    adds.resize(2);
+    mgr.collect_garbage();
+    mgr.sift();
+    for (int k = 0; k < 3; ++k) {
+      adds.push_back(random_real_add(mgr, rng, kWide));
+    }
+    adds.push_back(mgr.constant(2.5));
+    for (const Add& f : adds) {
+      ASSERT_LT(f.size() * 4, mgr.allocated_nodes());
+      expect_table_matches_reference(f);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "power/baselines.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace cfpm::serve {
@@ -276,6 +278,51 @@ TEST(RegistryPersistence, CorruptModelFileIsSkippedNotServed) {
   Registry reloaded;
   EXPECT_EQ(reloaded.load(dir), 0u);
   EXPECT_EQ(reloaded.lookup(built.id), nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RegistryPersistence, ForgedNodeCountIsSkippedAndCounted) {
+  const std::string dir = fresh_dir("forged-count");
+  service::BuildRequest request;
+  request.netlist = netlist::gen::c17();
+  const service::BuildReply good = service::build(request);
+  request.options.max_nodes = 8;
+  const service::BuildReply forged = service::build(request);
+  Registry registry;
+  for (const service::BuildReply* built : {&good, &forged}) {
+    Registry::Entry e;
+    e.id = built->id;
+    e.model = built->model;
+    e.circuit = "c17";
+    e.nodes = built->model_nodes;
+    ASSERT_TRUE(registry.admit(std::move(e)));
+  }
+  registry.save(dir);
+
+  // Declare a node count no reader could allocate for: the warm start must
+  // skip that entry as unreadable, not fail with bad_alloc.
+  const std::string path = dir + "/" + forged.id.to_hex() + ".cfpm";
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto pos = text.find("\nnodes ");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos + 1, text.find('\n', pos + 1) - pos - 1,
+               "nodes 100000000000");
+  std::ofstream(path, std::ios::trunc) << text;
+
+  const std::uint64_t rejected =
+      metrics::snapshot().counter("serve.persist.rejected");
+  Registry reloaded;
+  EXPECT_EQ(reloaded.load(dir), 1u);
+  EXPECT_NE(reloaded.lookup(good.id), nullptr);
+  EXPECT_EQ(reloaded.lookup(forged.id), nullptr);
+  if (metrics::compiled_in()) {
+    EXPECT_EQ(metrics::snapshot().counter("serve.persist.rejected"),
+              rejected + 1);
+  }
   std::filesystem::remove_all(dir);
 }
 

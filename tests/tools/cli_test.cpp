@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -79,37 +80,47 @@ TEST(Cli, BuildEstimateWorstPipeline) {
 }
 
 TEST(Cli, BuildPrintsThePinnedModelIds) {
-  // Pins what `build gen:<c>` at its default MAX produces. The ModelId is
-  // the content address of the request (circuit and options), so it only
-  // catches a change in what is hashed; the checksum trailer of the saved
-  // model covers the variable order and every node of the built ADD, so any
-  // change to a node, a sift or a collapse shows up there. A deliberate
-  // change must update these pins in the same change.
+  // Pins what `build gen:<c>` produces. The ModelId is the content address
+  // of the request (circuit and options), so it only catches a change in
+  // what is hashed; the checksum trailer of the saved model covers the
+  // variable order and every node of the built ADD, so any change to a
+  // node, a sift or a collapse shows up there. The default-MAX builds run
+  // at most one final collapse; alu4 at MAX 20 collapses 108 times in
+  // average mode and 119 times in bound mode. A deliberate change must
+  // update these pins in the same change.
   struct Pin {
-    const char* circuit;
+    const char* args;
     const char* id;
     const char* crc;
+    int approximations;
   };
   const Pin pins[] = {
-      {"cmb", "7af96744eace63d993617a282a781fbe", "64ccab75"},
-      {"cm150", "7a6f5eab83cebaea4a99b453f9ba4a8d", "3a783439"},
-      {"mux", "75ed876b7dc3a27ce97a865e151ab84f", "34f0f0b1"},
-      {"alu4", "2faecabd69df9c250c3d3ed8069fa9c4", "ae889e28"},
+      {"gen:cmb", "7af96744eace63d993617a282a781fbe", "64ccab75", 0},
+      {"gen:cm150", "7a6f5eab83cebaea4a99b453f9ba4a8d", "3a783439", 0},
+      {"gen:mux", "75ed876b7dc3a27ce97a865e151ab84f", "34f0f0b1", 1},
+      {"gen:alu4", "2faecabd69df9c250c3d3ed8069fa9c4", "ae889e28", 1},
+      {"gen:mux --bound", "09328ec14065147d184dcea132c03d56", "d2fc387c", 1},
+      {"gen:alu4 -m 20", "651a1fed03af23003656520ef4d73911", "6e9e0cb1", 108},
+      {"gen:alu4 -m 20 --bound", "0a4a0e01d3b9c3f1e6ca6b5b3f1b72a0",
+       "be12e99c", 119},
   };
+  const std::string model = ::testing::TempDir() + "/cli_pin.cfpm";
   for (const Pin& pin : pins) {
-    const std::string model =
-        ::testing::TempDir() + "/cli_pin_" + pin.circuit + ".cfpm";
-    const auto r = run(std::string("build gen:") + pin.circuit + " -o " + model);
+    const auto r = run(std::string("build ") + pin.args + " -o " + model);
     ASSERT_EQ(r.exit_code, 0) << r.output;
     EXPECT_NE(r.output.find(std::string("id      : ") + pin.id),
               std::string::npos)
-        << pin.circuit << ":\n" << r.output;
+        << pin.args << ":\n" << r.output;
+    EXPECT_NE(r.output.find(", " + std::to_string(pin.approximations) +
+                            " approximations"),
+              std::string::npos)
+        << pin.args << ":\n" << r.output;
     std::ifstream in(model);
     std::string line, last;
     while (std::getline(in, line)) last = line;
-    EXPECT_EQ(last, std::string("crc ") + pin.crc) << pin.circuit;
-    std::remove(model.c_str());
+    EXPECT_EQ(last, std::string("crc ") + pin.crc) << pin.args;
   }
+  std::remove(model.c_str());
 }
 
 TEST(Cli, EstimateRejectsInfeasibleStatistics) {
@@ -118,6 +129,26 @@ TEST(Cli, EstimateRejectsInfeasibleStatistics) {
   const auto r = run("estimate " + model + " --sp 0.1 --st 0.9");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("infeasible"), std::string::npos);
+  std::remove(model.c_str());
+}
+
+TEST(Cli, EstimateRejectsAForgedNodeCount) {
+  // A model file whose `nodes` line declares more nodes than any reader
+  // could allocate is a parse error (exit 1), not an out-of-memory (exit 4).
+  const std::string model = ::testing::TempDir() + "/cli_forged.cfpm";
+  ASSERT_EQ(run("build gen:c17 -m 100 -o " + model).exit_code, 0);
+  std::string text;
+  {
+    std::ifstream in(model);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto pos = text.find("\nnodes ");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos + 1, text.find('\n', pos + 1) - pos - 1,
+               "nodes 100000000000");
+  std::ofstream(model, std::ios::trunc) << text;
+  const auto r = run("estimate " + model);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
   std::remove(model.c_str());
 }
 
