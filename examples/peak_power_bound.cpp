@@ -36,7 +36,9 @@ int main() {
   for (int i = 0; i < 6; ++i) {
     std::vector<std::size_t> map;
     for (std::size_t k = 0; k < n; ++k) map.push_back(i * n + k);
-    design.add_instance("u" + std::to_string(i), bound, std::move(map));
+    std::string name = "u";
+    name += std::to_string(i);
+    design.add_instance(name, bound, std::move(map));
   }
   std::cout << "system: 6 x cm85 (" << macro.num_gates()
             << " gates each), bound model " << bound->size() << " nodes\n\n";

@@ -1,12 +1,11 @@
 #include "chip/chip.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "netlist/generators.hpp"
 #include "support/assert.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
-#include "support/governor.hpp"
 #include "support/metrics.hpp"
 #include "support/parse.hpp"
 
@@ -87,13 +86,9 @@ ModelSource make_model_source(const ChipBuildOptions& options) {
     power::ModelOptions mo;
     mo.add.max_nodes = options.max_nodes;
     mo.add.degrade = options.degrade;
-    // Fresh governor per macro: a deadline bounds each macro build on its
-    // own clock, so one slow macro cannot starve the rest of the library.
-    auto governor = std::make_shared<Governor>();
-    if (options.deadline_ms) {
-      governor->set_deadline(std::chrono::milliseconds(*options.deadline_ms));
-    }
-    mo.add.dd_config.governor = std::move(governor);
+    // Fresh deadline per macro: each macro build runs on its own clock, so
+    // one slow macro cannot starve the rest of the library.
+    mo.add.dd_config.deadline = deadline_after(options.deadline_ms);
     mo.library = options.library;
     SourcedModel out;
     std::shared_ptr<power::PowerModel> model = power::make_model(kind, n, mo);
@@ -171,7 +166,9 @@ Chip build_chip(const ChipSpec& spec, const ModelSource& source) {
       std::max<std::size_t>(1, M / spec.macros_per_block);
   for (std::size_t b = 0; b < spec.blocks; ++b) {
     const std::size_t block_index = result.nodes_.size();
-    result.nodes_.push_back(Chip::Node{"b" + std::to_string(b), 0, {},
+    std::string block_name = "b";
+    block_name += std::to_string(b);
+    result.nodes_.push_back(Chip::Node{std::move(block_name), 0, {},
                                        b * spec.macros_per_block, 0, 0});
     result.nodes_[0].children.push_back(block_index);
     for (std::size_t j = 0; j < spec.macros_per_block; ++j) {

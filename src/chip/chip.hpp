@@ -71,8 +71,8 @@ struct ChipBuildOptions {
   /// Per-macro node budget MAX (0 = exact). The default keeps the demo
   /// library exact.
   std::size_t max_nodes = 4000;
-  /// Per-macro governor wall-clock deadline; each macro build gets a fresh
-  /// governor so one slow macro cannot starve the rest of the library.
+  /// Per-macro wall-clock build budget; each macro build gets a fresh
+  /// deadline so one slow macro cannot starve the rest of the library.
   std::optional<std::size_t> deadline_ms;
   bool degrade = true;  ///< walk the §9 degradation ladder per macro
   netlist::GateLibrary library = netlist::GateLibrary::standard();
@@ -95,7 +95,7 @@ using ModelSource =
     std::function<SourcedModel(const netlist::Netlist&, power::ModelKind)>;
 
 /// The default source for `options`: power::make_model under a fresh
-/// per-macro governor deadline, with the §9 ladder per `options.degrade`.
+/// per-macro deadline, with the §9 ladder per `options.degrade`.
 ModelSource make_model_source(const ChipBuildOptions& options);
 
 class Chip {

@@ -7,7 +7,6 @@
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
-#include "support/governor.hpp"
 #include "support/metrics.hpp"
 
 namespace cfpm::dd {
@@ -139,15 +138,16 @@ void DdManager::deref_edge(Edge e) noexcept {
 std::uint32_t DdManager::allocate_node() {
   static const metrics::Counter c_alloc("dd.node.alloc");
   c_alloc.add();
-  // Governor ticks fire here — the one point every growing operation must
-  // pass through — except during in-place reordering, where an unwound
-  // exception would leave a level half-relabeled (swaps checkpoint the
-  // governor between whole swaps instead).
-  if (config_.governor != nullptr && !in_reorder_) {
-    config_.governor->note_live_nodes(live_);
-    config_.governor->on_allocation();  // may throw
+  // The deadline is checked here — the one point every growing operation
+  // must pass through — except during in-place reordering, where an unwound
+  // exception would leave a level half-relabeled (sifting checks between
+  // whole swaps instead).
+  if (config_.deadline && !in_reorder_ &&
+      ++allocs_since_check_ >= kDeadlineCheckInterval) {
+    allocs_since_check_ = 0;
+    check_deadline(config_.deadline);  // may throw
   }
-  // Same exclusion zone as the governor: an injected throw unwinds through
+  // Same exclusion zone as the deadline: an injected throw unwinds through
   // the strongly exception-safe apply/ite/make_node paths, but must never
   // fire inside an in-place reorder swap.
   if (!in_reorder_) CFPM_FAILPOINT("dd.allocate_node");
@@ -244,7 +244,8 @@ Edge DdManager::make_node(std::uint32_t var, Edge t, Edge e) {
     }
   }
   // Strong guarantee: a throw past this point (table growth, node budget,
-  // governor fault) must not leak the child references this call consumes.
+  // deadline, failpoint) must not leak the child references this call
+  // consumes.
   std::uint32_t i;
   try {
     maybe_resize_table(var);

@@ -28,10 +28,7 @@
 #include <vector>
 
 #include "dd/dd_node.hpp"
-
-namespace cfpm {
-class Governor;
-}  // namespace cfpm
+#include "support/deadline.hpp"
 
 namespace cfpm::dd {
 
@@ -60,13 +57,18 @@ struct DdConfig {
   /// Hard ceiling on allocated nodes; 0 means unlimited. Exceeding it
   /// throws cfpm::ResourceError (after attempting a GC).
   std::size_t max_nodes = 0;
-  /// Optional build governor polled once per node allocation (outside
-  /// in-place reordering) and at every adjacent-level swap; may throw
-  /// DeadlineExceeded / CancelledError from those points. Shared, not
-  /// owned: several managers (e.g. successive degradation-ladder attempts)
-  /// may answer to one governor and its single deadline.
-  std::shared_ptr<Governor> governor;
+  /// Optional wall-clock deadline, checked every kDeadlineCheckInterval
+  /// node allocations (outside in-place reordering) and between whole
+  /// level swaps; DeadlineExceeded is thrown from those points. Several
+  /// managers (e.g. successive degradation-ladder attempts) answer to one
+  /// budget by holding the same time point.
+  Deadline deadline;
 };
+
+/// A manager with a deadline checks the clock once per this many of its
+/// own node allocations, so a runaway apply stops within ~10^3 allocations
+/// (well under a millisecond) of the deadline.
+inline constexpr std::uint32_t kDeadlineCheckInterval = 1024;
 
 class DdManager {
  public:
@@ -190,7 +192,7 @@ class DdManager {
   /// Consumes one reference each from t and e; referenced-return. The
   /// then-edge canonicity invariant is restored here: a complemented t is
   /// normalized by flipping both children and complementing the result
-  /// edge. On an exception (node budget, governor fault) both references
+  /// edge. On an exception (node budget, deadline, failpoint) both references
   /// are released before the throw propagates, so callers never leak them.
   Edge make_node(std::uint32_t var, Edge t, Edge e);
   std::uint32_t allocate_node();
@@ -231,11 +233,14 @@ class DdManager {
   // --- storage --------------------------------------------------------------
   DdConfig config_;
   /// Set for the duration of an in-place adjacent-level swap: the node cap
-  /// and governor polling are suspended there because a half-relabeled
+  /// and deadline checks are suspended there because a half-relabeled
   /// level cannot be unwound (swaps only ever shrink-or-hold the diagram
-  /// modulo transient nodes, so the suspension is bounded). The governor is
-  /// instead checkpointed between swaps.
+  /// modulo transient nodes, so the suspension is bounded). The deadline is
+  /// instead checked between swaps.
   bool in_reorder_ = false;
+  /// Allocations since the last deadline check (counted only while a
+  /// deadline is set and outside reordering).
+  std::uint32_t allocs_since_check_ = 0;
   /// The arena. Indices are stable (vector growth relocates storage but
   /// never renumbers), so recursions hold Edge values, never references
   /// across an allocation.

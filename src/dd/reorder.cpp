@@ -10,7 +10,6 @@
 
 #include "dd/manager.hpp"
 #include "support/assert.hpp"
-#include "support/governor.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -18,11 +17,11 @@ namespace cfpm::dd {
 
 namespace {
 
-/// Suspends node-cap enforcement and governor polling for the duration of
+/// Suspends node-cap enforcement and deadline checks for the duration of
 /// an in-place swap: a throw from allocate_node mid-swap would leave the
-/// level half-relabeled with no way to unwind. The governor is instead
-/// checkpointed between whole swaps (sift loops below), so a stuck sift
-/// still stops within one swap's worth of work.
+/// level half-relabeled with no way to unwind. The deadline is instead
+/// checked between whole swaps (sift loops below), so a stuck sift still
+/// stops within one swap's worth of work.
 class ReorderScope {
  public:
   explicit ReorderScope(bool& flag) : flag_(flag) { flag_ = true; }
@@ -159,14 +158,13 @@ std::size_t DdManager::sift_variable(std::uint32_t var, double max_growth) {
   std::uint32_t best_pos = pos;
   const std::size_t limit =
       static_cast<std::size_t>(static_cast<double>(live_) * max_growth);
-  // Between swaps the diagram is structurally consistent, so deadline and
-  // cancellation may fire here; the exploratory phases simply stop where
-  // they are (every intermediate position denotes the same functions).
-  Governor* governor = config_.governor.get();
+  // Between swaps the diagram is structurally consistent, so the deadline
+  // may fire here; the exploratory phases simply stop where they are
+  // (every intermediate position denotes the same functions).
 
   // Phase 1: sift down to the bottom (abort on excessive growth).
   while (pos + 1 < levels) {
-    if (governor != nullptr) governor->checkpoint();
+    check_deadline(config_.deadline);
     const std::size_t size = swap_adjacent_levels(pos);
     ++pos;
     if (size < best_size) {
@@ -177,7 +175,7 @@ std::size_t DdManager::sift_variable(std::uint32_t var, double max_growth) {
   }
   // Phase 2: sift up to the top.
   while (pos > 0) {
-    if (governor != nullptr) governor->checkpoint();
+    check_deadline(config_.deadline);
     const std::size_t size = swap_adjacent_levels(pos - 1);
     --pos;
     if (size < best_size) {

@@ -1,5 +1,6 @@
 #include "eval/experiment.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
+#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace cfpm::eval {
@@ -55,7 +57,7 @@ std::vector<AccuracyReport> evaluate(
   // evaluate in parallel. Models and the golden reference are only read.
   // A cell that throws (a blown circuit/config, an OOM in one model) is
   // recorded as failed and the rest of the grid continues; exceptions must
-  // never escape evaluate_point, which may run on a worker thread.
+  // never escape evaluate_point, which may run on a pool worker.
   std::vector<std::vector<AccuracyPoint>> points(
       grid.size(), std::vector<AccuracyPoint>(models.size()));
   auto evaluate_point = [&](std::size_t gi) {
@@ -112,27 +114,10 @@ std::vector<AccuracyReport> evaluate(
     }
   };
 
-  if (options.pool != nullptr && options.pool->num_threads() > 1 &&
-      grid.size() > 1) {
-    options.pool->run_indexed(grid.size(), evaluate_point);
-  } else {
-    const std::size_t workers = std::min<std::size_t>(
-        grid.size(), std::max(1u, std::thread::hardware_concurrency()));
-    if (workers <= 1) {
-      for (std::size_t gi = 0; gi < grid.size(); ++gi) evaluate_point(gi);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          for (std::size_t gi = w; gi < grid.size(); gi += workers) {
-            evaluate_point(gi);
-          }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-    }
-  }
+  // One lane per cell up to the core count; a one-lane pool runs inline.
+  ThreadPool pool(std::min<std::size_t>(
+      grid.size(), std::max(1u, std::thread::hardware_concurrency())));
+  pool.run_indexed(grid.size(), evaluate_point);
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
     for (std::size_t m = 0; m < models.size(); ++m) {
       reports[m].points.push_back(points[gi][m]);

@@ -14,7 +14,7 @@
 //
 // where `golden` is a Reference (a GateLevelSimulator converts implicitly;
 // any other reference wraps as Reference(num_inputs, fn)) and EvalOptions
-// selects the metric, run configuration, and an optional thread pool.
+// selects the metric and run configuration.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include "power/power_model.hpp"
 #include "sim/simulator.hpp"
 #include "stats/markov.hpp"
-#include "support/thread_pool.hpp"
 
 namespace cfpm::eval {
 
@@ -105,9 +104,6 @@ class Reference {
 struct EvalOptions {
   Metric metric = Metric::kAverage;
   RunConfig run;
-  /// When set (and multi-threaded), grid points are dispatched on this pool
-  /// instead of the harness's own ad-hoc threads.
-  ThreadPool* pool = nullptr;
 };
 
 /// Accuracy of several models against one golden reference over a grid of

@@ -184,7 +184,7 @@ Netlist mux_two_level() {
     const std::array<SignalId, 4> d{data[4 * g], data[4 * g + 1],
                                     data[4 * g + 2], data[4 * g + 3]};
     group[g] = mux4(n, d, sel[0], nsel[0], sel[1], nsel[1],
-                    "g" + std::to_string(g) + "_");
+                    idx_name("g", g) + "_");
   }
   const SignalId inner =
       mux4(n, group, sel[2], nsel[2], sel[3], nsel[3], "top_");

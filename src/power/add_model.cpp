@@ -81,11 +81,10 @@ class SymbolicBuilder {
       }
     };
 
-    cfpm::Governor* governor = options_.dd_config.governor.get();
     for (SignalId s = 0; s < n_.num_signals(); ++s) {
       // Per-gate safe point: between gate contributions every handle is
       // consistent, so this is the cheapest place to stop a whole build.
-      if (governor != nullptr) governor->checkpoint();
+      check_deadline(options_.dd_config.deadline);
       const auto& sig = n_.signal(s);
       if (sig.is_input) {
         const std::uint32_t idx = n_.input_index(s);
@@ -251,7 +250,7 @@ AddPowerModel AddPowerModel::constant_fallback(const Netlist& n,
   const double value = options.mode == dd::ApproxMode::kUpperBound
                            ? total_load
                            : 0.25 * total_load;
-  // No governor and no cap: three nodes always fit, and an expired deadline
+  // No deadline and no cap: three nodes always fit, and an expired deadline
   // must not be able to stop the surrender rung.
   auto mgr = std::make_shared<dd::DdManager>(2 * n.num_inputs());
   dd::Add constant = mgr->constant(value);
@@ -288,8 +287,6 @@ AddPowerModel AddPowerModel::build(const Netlist& n,
       SymbolicBuilder builder(n, loads_ff, effective);
       return finish(builder.run(), rungs.empty() ? BuildOutcome::kClean
                                                  : BuildOutcome::kDegraded);
-    } catch (const CancelledError&) {
-      throw;  // cancellation means stop, not degrade
     } catch (const DeadlineExceeded& e) {
       if (!options.degrade) throw;
       // No time left for a retry of any size; surrender immediately.

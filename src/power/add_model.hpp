@@ -24,7 +24,6 @@
 #include "netlist/library.hpp"
 #include "netlist/netlist.hpp"
 #include "power/power_model.hpp"
-#include "support/governor.hpp"
 
 namespace cfpm::power {
 
@@ -58,8 +57,8 @@ struct AddModelOptions {
   /// of propagating: retry with in-construction approximation forced on,
   /// then with repeatedly halved budgets down to `degrade_floor`, then
   /// surrender to a constant (Con-style) estimator. Every rung taken is
-  /// recorded in AddModelBuildInfo::rungs; CancelledError always
-  /// propagates. With `degrade` false the first failure is rethrown.
+  /// recorded in AddModelBuildInfo::rungs. With `degrade` false the first
+  /// failure is rethrown.
   bool degrade = true;
   /// Smallest MAX the ladder will retry with before the constant fallback.
   std::size_t degrade_floor = 16;

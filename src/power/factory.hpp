@@ -31,7 +31,7 @@ enum class ModelKind {
 };
 
 struct ModelOptions {
-  /// Builder options for the ADD kinds (budget, mode, governor, ladder).
+  /// Builder options for the ADD kinds (budget, mode, deadline, ladder).
   /// The factory forces `add.mode` from the kind, so callers select
   /// average vs. upper-bound via ModelKind alone.
   AddModelOptions add;
@@ -44,10 +44,9 @@ struct ModelOptions {
 };
 
 /// Builds a power model of the requested kind for `n`. ADD kinds may throw
-/// what AddPowerModel::build throws (governor deadline/cancel, resource
-/// exhaustion with degradation disabled); callers needing the degradation
-/// report can dynamic_cast the result to AddPowerModel and read
-/// build_info().
+/// what AddPowerModel::build throws (deadline or resource exhaustion with
+/// degradation disabled); callers needing the degradation report can
+/// dynamic_cast the result to AddPowerModel and read build_info().
 std::unique_ptr<PowerModel> make_model(ModelKind kind,
                                        const netlist::Netlist& n,
                                        const ModelOptions& options = {});

@@ -279,7 +279,7 @@ bool Server::handle_frame(int fd, const wire::Frame& frame) {
   }
 }
 
-service::BuildReply Server::handle_build(wire::Frame frame) {
+service::BuildReply Server::handle_build(const wire::Frame& frame) {
   CFPM_TRACE_SPAN("serve.build_request");
   service::BuildRequest request = wire::decode_build_request(frame.payload);
   if (!request.options.deadline_ms && options_.default_deadline_ms > 0) {

@@ -8,8 +8,8 @@
 //             (serve.cache.hit, zero construction work); a miss runs one
 //             deduplicated build on the requesting connection's thread
 //             (concurrent requesters of the same id wait on the same job)
-//             under the request's governor deadline, with the §9
-//             degradation ladder as fallback. Clean builds are admitted
+//             under the request's deadline, with the §9 degradation
+//             ladder as fallback. Clean builds are admitted
 //             to the registry; degraded results are served to their
 //             requester but never cached (a ladder outcome depends on wall
 //             clock, so caching one would break the bit-identical replay
@@ -77,7 +77,7 @@ struct ServerOptions {
   /// Unused: builds run on connection threads. Kept only because the
   /// benchmark sources assign it; the next change to the benchmark removes it.
   std::size_t build_pool_threads = 1;
-  /// Governor deadline applied to build requests that carry none (0 = no
+  /// Build deadline applied to requests that carry none (0 = no
   /// default deadline).
   std::size_t default_deadline_ms = 0;
   /// Progress log (startup, shutdown, admissions); nullptr = quiet.
@@ -131,7 +131,7 @@ class Server {
   /// Dispatches one decoded frame; returns false when the connection asked
   /// the server to shut down (reply already written).
   bool handle_frame(int fd, const wire::Frame& frame);
-  service::BuildReply handle_build(wire::Frame frame);
+  service::BuildReply handle_build(const wire::Frame& frame);
   /// The registry-backed build path behind handle_build: probe, dedup via
   /// BuildJob, construction on the calling thread, admission of clean
   /// results. handle_chip

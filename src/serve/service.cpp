@@ -1,14 +1,13 @@
 #include "serve/service.hpp"
 
 #include <charconv>
-#include <chrono>
 #include <sstream>
 #include <utility>
 
 #include "chip/evaluator.hpp"
 #include "netlist/bench_io.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
-#include "support/governor.hpp"
 #include "support/hash.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -39,8 +38,6 @@ ErrorPayload classify(const std::exception_ptr& error) noexcept {
     p = {StatusCode::kError, ErrorKind::kResource, e.what()};
   } catch (const DeadlineExceeded& e) {
     p = {StatusCode::kError, ErrorKind::kDeadline, e.what()};
-  } catch (const CancelledError& e) {
-    p = {StatusCode::kError, ErrorKind::kCancelled, e.what()};
   } catch (const Error& e) {
     // ContractError intentionally folds into kGeneric: it rethrows as
     // cfpm::Error, which every caller treats identically (exit code 1).
@@ -67,8 +64,6 @@ void rethrow(const ErrorPayload& payload) {
       throw ResourceError(payload.message);
     case ErrorKind::kDeadline:
       throw DeadlineExceeded(payload.message);
-    case ErrorKind::kCancelled:
-      throw CancelledError(payload.message);
     case ErrorKind::kOom:
       throw std::bad_alloc();
     case ErrorKind::kInternal:
@@ -150,8 +145,7 @@ ModelId model_id(const netlist::Netlist& n, const BuildOptions& o) {
 // ---------------------------------------------------------------------------
 
 power::ModelOptions to_model_options(const BuildOptions& o,
-                                     const netlist::GateLibrary& library,
-                                     std::shared_ptr<Governor> governor) {
+                                     const netlist::GateLibrary& library) {
   power::ModelOptions mo;
   mo.add.max_nodes = o.max_nodes;
   mo.add.mode = o.kind == power::ModelKind::kAddUpperBound
@@ -161,11 +155,7 @@ power::ModelOptions to_model_options(const BuildOptions& o,
   mo.add.reorder_passes = o.reorder_passes;
   mo.add.approximate_during_construction = o.approximate_during_construction;
   mo.add.degrade = o.degrade;
-  if (!governor) governor = std::make_shared<Governor>();
-  if (o.deadline_ms) {
-    governor->set_deadline(std::chrono::milliseconds(*o.deadline_ms));
-  }
-  mo.add.dd_config.governor = std::move(governor);
+  mo.add.dd_config.deadline = deadline_after(o.deadline_ms);
   mo.library = library;
   mo.characterization_vectors = o.characterization_vectors;
   mo.characterization_seed = o.characterization_seed;

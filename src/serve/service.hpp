@@ -39,10 +39,6 @@
 #include "stats/markov.hpp"
 #include "support/thread_pool.hpp"
 
-namespace cfpm {
-class Governor;
-}  // namespace cfpm
-
 namespace cfpm::service {
 
 /// Version of the request/response structs (and of the wire protocol that
@@ -77,7 +73,8 @@ enum class ErrorKind : std::uint32_t {
   kIo = 3,        ///< cfpm::IoError
   kResource = 4,  ///< cfpm::ResourceError
   kDeadline = 5,  ///< cfpm::DeadlineExceeded
-  kCancelled = 6, ///< cfpm::CancelledError
+  // 6 is retired (it carried a cancellation error that no longer exists);
+  // the explicit values keep every other wire code unchanged.
   kOom = 7,       ///< std::bad_alloc
   kInternal = 8,  ///< any other std::exception
 };
@@ -134,12 +131,13 @@ struct ModelId {
 // ---------------------------------------------------------------------------
 
 /// Build knobs a request may carry — the serializable subset of
-/// power::ModelOptions (a governor cannot cross a socket; deadlines travel
-/// as milliseconds and are armed server-side). Two requests with equal
-/// netlist content and equal *model-shaping* knobs (kind, max_nodes, order,
-/// reorder_passes, approximate_during_construction, characterization
-/// workload) share a ModelId; resilience knobs (degrade, deadline_ms) do not
-/// shape a clean model and are excluded from the id.
+/// power::ModelOptions (a time point cannot cross a socket; deadlines
+/// travel as milliseconds and become a time point server-side). Two
+/// requests with equal netlist content and equal *model-shaping* knobs
+/// (kind, max_nodes, order, reorder_passes,
+/// approximate_during_construction, characterization workload) share a
+/// ModelId; resilience knobs (degrade, deadline_ms) do not shape a clean
+/// model and are excluded from the id.
 struct BuildOptions {
   power::ModelKind kind = power::ModelKind::kAddAverage;
   std::size_t max_nodes = 1000;
@@ -250,19 +248,19 @@ struct ChipReply {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Translates wire-shape options into the factory's rich form. `governor`
-/// (optional) is attached with the request's deadline armed.
+/// Translates wire-shape options into the factory's rich form. A request
+/// deadline becomes a time point `deadline_ms` from this call, shared by
+/// every build made with the returned options.
 power::ModelOptions to_model_options(
     const BuildOptions& options,
-    const netlist::GateLibrary& library = netlist::GateLibrary::standard(),
-    std::shared_ptr<Governor> governor = nullptr);
+    const netlist::GateLibrary& library = netlist::GateLibrary::standard());
 
 /// Content address of the model a request would build (canonical .bench
 /// text of the netlist + the model-shaping option fingerprint).
 ModelId model_id(const netlist::Netlist& n, const BuildOptions& options);
 
 /// Builds the requested model. Validates api_version (typed kUsage error),
-/// arms a governor deadline when the request carries one, and reports a
+/// sets a deadline when the request carries one, and reports a
 /// ladder-degraded build as status kDegraded. Throws typed errors.
 BuildReply build(const BuildRequest& request);
 

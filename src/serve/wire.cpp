@@ -471,7 +471,9 @@ service::ErrorPayload decode_error(std::string_view payload) {
   }
   error.code = static_cast<service::StatusCode>(code);
   const auto kind = r.number<unsigned>("kind");
-  if (kind > static_cast<unsigned>(service::ErrorKind::kInternal)) {
+  // Kind 6 is retired: it carried a cancellation error no build can raise.
+  if (kind == 6 ||
+      kind > static_cast<unsigned>(service::ErrorKind::kInternal)) {
     throw ParseError("wire: unknown error kind " + std::to_string(kind));
   }
   error.kind = static_cast<service::ErrorKind>(kind);

@@ -46,19 +46,12 @@ class ResourceError : public Error {
   explicit ResourceError(const std::string& what) : Error(what) {}
 };
 
-/// A governed operation ran past its wall-clock deadline. Recoverable: the
-/// degradation ladder (power/add_model) converts it into a cheaper model.
+/// A construction ran past its wall-clock deadline (support/deadline).
+/// Recoverable: the degradation ladder (power/add_model) converts it into a
+/// cheaper model.
 class DeadlineExceeded : public Error {
  public:
   explicit DeadlineExceeded(const std::string& what) : Error(what) {}
-};
-
-/// A governed operation observed a cooperative cancellation request. Not
-/// recoverable by design: cancellation means "stop", so it propagates past
-/// the degradation ladder to the caller that requested it.
-class CancelledError : public Error {
- public:
-  explicit CancelledError(const std::string& what) : Error(what) {}
 };
 
 }  // namespace cfpm

@@ -4,15 +4,14 @@
 //
 //   CFPM_FAILPOINT("dd.serialize.write");
 //
-// In production the hook is a single relaxed atomic load (nothing armed) or,
-// with -DCFPM_NO_FAILPOINTS, nothing at all. Tests, the fuzz campaign
-// (`cfpm fuzz --faults`) and operators arm failpoints by name with an action
-// and a fire budget; the next `count` executions of the hook then perform the
-// action (throw a typed exception, sleep, fail I/O). This is how the
-// recovery machinery — the degradation ladder (power/add_model), the
-// thread-pool spawn degradation, crash-safe writes (support/io) — is
-// exercised deterministically instead of waiting for a full disk or OOM in
-// the wild.
+// In production the hook is a single relaxed atomic load (nothing armed).
+// Tests, the fuzz campaign (`cfpm fuzz --faults`) and operators arm
+// failpoints by name with an action and a fire budget; the next `count`
+// executions of the hook then perform the action (throw a typed exception,
+// sleep, fail I/O). This is how the recovery machinery — the degradation
+// ladder (power/add_model), the thread-pool spawn degradation, crash-safe
+// writes (support/io) — is exercised deterministically instead of waiting
+// for a full disk or OOM in the wild.
 //
 // Activation surfaces:
 //  * env:  CFPM_FAILPOINTS="name=action[:count],name2=action2" — parsed once
@@ -61,17 +60,6 @@ struct Status {
   std::uint64_t remaining = 0;  ///< fires left; kForever = unbounded
 };
 
-/// True when failpoint hooks are compiled in (no -DCFPM_NO_FAILPOINTS).
-/// The registry API itself always exists; with hooks compiled out, armed
-/// entries are simply never consulted.
-constexpr bool compiled_in() noexcept {
-#ifdef CFPM_NO_FAILPOINTS
-  return false;
-#else
-  return true;
-#endif
-}
-
 /// Arms `name` to perform `action` on its next `count` hits (kForever =
 /// every hit until disarmed). Re-arming an already-armed name replaces it.
 void arm(const std::string& name, Action action, std::uint64_t count = 1,
@@ -117,13 +105,9 @@ void hit_slow(std::string_view name);
 /// Hook body: cheap check, then the locked lookup only when something is
 /// armed. Prefer the CFPM_FAILPOINT macro at call sites.
 inline void hit(std::string_view name) {
-#ifndef CFPM_NO_FAILPOINTS
   if (detail::g_armed_count.load(std::memory_order_relaxed) > 0) {
     detail::hit_slow(name);
   }
-#else
-  (void)name;
-#endif
 }
 
 }  // namespace cfpm::failpoint

@@ -44,9 +44,9 @@
 #include "sim/simulator.hpp"
 #include "sim/trace_io.hpp"
 #include "stats/markov.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
-#include "support/governor.hpp"
 #include "support/io.hpp"
 #include "support/metrics.hpp"
 #include "support/parse.hpp"
@@ -354,10 +354,6 @@ std::optional<Args> parse(int argc, char** argv) {
           std::cerr << "invalid value for --failpoints: " << e.what() << "\n";
           return false;
         }
-        if (!failpoint::compiled_in()) {
-          std::cerr << "warning: --failpoints ignored (built with "
-                       "CFPM_NO_FAILPOINTS)\n";
-        }
         return true;
       }();
     } else if (flag == "--socket") {
@@ -439,9 +435,8 @@ int report_build_outcome(const power::AddModelBuildInfo& info) {
   const metrics::Snapshot snap = metrics::snapshot();
   if (metrics::compiled_in()) {
     std::cout << "  spent : " << snap.counter("dd.node.alloc")
-              << " node allocs, " << snap.counter("governor.poll.tick")
-              << " governor polls, " << snap.counter("governor.checkpoint.hit")
-              << " checkpoints, " << snap.counter("dd.gc.reclaimed")
+              << " node allocs, " << snap.counter("deadline.check.run")
+              << " deadline checks, " << snap.counter("dd.gc.reclaimed")
               << " nodes reclaimed\n";
   }
   return kExitDegraded;
@@ -549,7 +544,7 @@ int cmd_accuracy(const Args& a) {
   const netlist::Netlist n = load_circuit(a.positional[0]);
   const sim::GateLevelSimulator golden(n, kLib);
 
-  // One governor for the three builds, so they spend one --deadline-ms
+  // One deadline for the three builds, so they spend one --deadline-ms
   // budget.
   power::ModelOptions options =
       service::to_model_options(a.service_options(), kLib);
@@ -607,7 +602,9 @@ int cmd_sensitivity(const Args& a) {
     const auto width =
         max_s > 0.0 ? static_cast<std::size_t>(20.0 * std::abs(s[k]) / max_s)
                     : 0;
-    table.add_row({"x" + std::to_string(k), eval::TextTable::num(s[k], 2),
+    std::string input = "x";
+    input += std::to_string(k);
+    table.add_row({std::move(input), eval::TextTable::num(s[k], 2),
                    std::string(width, '#')});
   }
   table.print(std::cout);
@@ -821,10 +818,7 @@ int cmd_fuzz(const Args& a) {
     if (end > pos) opt.checks.push_back(a.checks.substr(pos, end - pos));
     pos = end + 1;
   }
-  if (a.deadline_ms) {
-    opt.governor = std::make_shared<Governor>();
-    opt.governor->set_deadline(std::chrono::milliseconds(*a.deadline_ms));
-  }
+  opt.deadline = deadline_after(a.deadline_ms);
 
   const verify::FuzzReport report = verify::run_fuzz(opt);
   std::cout << "fuzz    : " << report.iterations << " iteration(s), "

@@ -1,6 +1,7 @@
 #include "verify/fuzzer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <iterator>
 #include <ostream>
@@ -11,7 +12,6 @@
 #include "netlist/transform.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
-#include "support/governor.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "verify/corpus.hpp"
@@ -125,11 +125,6 @@ netlist::Netlist sample_netlist(std::uint64_t seed, std::size_t max_gates) {
 }
 
 FuzzReport run_fuzz(const FuzzOptions& opt) {
-  if (opt.faults && !failpoint::compiled_in()) {
-    throw Error(
-        "fuzz: faults mode needs failpoint hooks, but this binary was built "
-        "with CFPM_NO_FAILPOINTS");
-  }
   std::vector<const Check*> selected;
   if (opt.checks.empty()) {
     for (const Check& c : all_checks()) selected.push_back(&c);
@@ -165,7 +160,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
     }
   } fault_guard{opt.faults};
   for (std::size_t it = 0; it < opt.runs; ++it) {
-    if (opt.governor && opt.governor->deadline_expired()) {
+    if (opt.deadline && std::chrono::steady_clock::now() >= *opt.deadline) {
       report.deadline_hit = true;
       break;
     }
@@ -177,7 +172,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
     CheckContext ctx;
     ctx.seed = iter_seed;
     ctx.patterns = opt.patterns;
-    ctx.governor = opt.governor;
+    ctx.deadline = opt.deadline;
 
     bool stopped = false;
     for (const Check* check : selected) {
@@ -205,9 +200,6 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
           stopped = true;
           break;
         }
-      } catch (const CancelledError&) {
-        stopped = true;
-        break;
       }
       bool fired = false;
       if (opt.faults) {
@@ -232,9 +224,6 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
           report.deadline_hit = true;
           stopped = true;
           break;
-        } catch (const CancelledError&) {
-          stopped = true;
-          break;
         }
         if (clean.ok) {
           ++report.fault_recoveries;
@@ -254,8 +243,8 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
       }
 
       c_failures.add();
-      // Shrink with the governor detached: minimization must be
-      // deterministic, and a deadline mid-shrink would corrupt it.
+      // Shrink with no deadline: minimization must be deterministic, and a
+      // deadline mid-shrink would corrupt it.
       CheckContext replay_ctx;
       replay_ctx.seed = iter_seed;
       replay_ctx.patterns = opt.patterns;

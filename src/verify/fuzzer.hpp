@@ -10,15 +10,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
-
-namespace cfpm {
-class Governor;
-}  // namespace cfpm
+#include "support/deadline.hpp"
 
 namespace cfpm::verify {
 
@@ -37,7 +33,7 @@ struct FuzzOptions {
   std::string corpus_dir = "fuzz/corpus";
   /// Optional wall-clock bound. Expiry stops the campaign cleanly
   /// (deadline_hit in the report) — it is not a failure.
-  std::shared_ptr<Governor> governor;
+  Deadline deadline;
   /// Predicate-call budget of the per-failure minimizer.
   std::size_t minimize_attempts = 250;
   /// Progress/failure log (nullptr silences).
@@ -49,7 +45,7 @@ struct FuzzOptions {
   /// then the identical check re-run with faults disarmed must pass; a
   /// value mismatch that is NOT a typed throw while faults are armed is
   /// silent corruption and is reported (and minimized with the same spec
-  /// re-armed). Requires failpoint::compiled_in().
+  /// re-armed).
   bool faults = false;
 };
 

@@ -90,7 +90,7 @@ power::AddModelOptions sampled_options(Xoshiro256& rng, std::size_t max_nodes,
   // Invariant checks must see the model the options ask for, not a
   // degraded stand-in; resource/deadline errors propagate to the driver.
   opt.degrade = false;
-  opt.dd_config.governor = ctx.governor;
+  opt.dd_config.deadline = ctx.deadline;
   return opt;
 }
 
@@ -747,8 +747,6 @@ CheckResult run_check(const Check& check, const netlist::Netlist& n,
     result = check.fn(n, ctx);
   } catch (const DeadlineExceeded&) {
     throw;  // a stop signal, not a verdict
-  } catch (const CancelledError&) {
-    throw;
   } catch (const std::exception& e) {
     result = fail(std::string("unexpected exception: ") + e.what());
     result.threw = true;

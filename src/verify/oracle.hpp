@@ -17,16 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "netlist/netlist.hpp"
-
-namespace cfpm {
-class Governor;
-}  // namespace cfpm
+#include "support/deadline.hpp"
 
 namespace cfpm::verify {
 
@@ -49,9 +45,9 @@ struct CheckContext {
   std::size_t patterns = 128;
   /// Optional build bound: handed to symbolic constructions so a runaway
   /// build throws DeadlineExceeded instead of running unbounded. May be
-  /// null (ungoverned). Deadline/cancellation errors propagate out of the
-  /// check; they are a stop signal, not a verdict.
-  std::shared_ptr<Governor> governor;
+  /// unset (unbounded). DeadlineExceeded propagates out of the check; it
+  /// is a stop signal, not a verdict.
+  Deadline deadline;
 };
 
 using CheckFn = CheckResult (*)(const netlist::Netlist&, const CheckContext&);
@@ -69,9 +65,9 @@ std::span<const Check> all_checks();
 const Check* find_check(std::string_view name);
 
 /// Runs one check, bumping its `verify.check.<name>.{run,fail}` metrics.
-/// Any exception other than DeadlineExceeded/CancelledError is converted
-/// into a failing result (an oracle must never throw on a valid netlist,
-/// so a throw is itself a finding); deadline/cancel propagate.
+/// Any exception other than DeadlineExceeded is converted into a failing
+/// result (an oracle must never throw on a valid netlist, so a throw is
+/// itself a finding); DeadlineExceeded propagates.
 CheckResult run_check(const Check& check, const netlist::Netlist& n,
                       const CheckContext& ctx);
 

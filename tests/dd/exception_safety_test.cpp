@@ -1,16 +1,15 @@
 // Exception-safety regression tests for DdManager: a ResourceError (node
-// budget) or an injected governor fault thrown from the middle of an apply
-// must leave the manager fully usable -- unique table consistent with the
-// reference counts, garbage collectible, and able to complete the same
-// construction afterwards.
+// budget) or an injected allocation fault (the `dd.allocate_node`
+// failpoint) thrown from the middle of an apply must leave the manager
+// fully usable -- unique table consistent with the reference counts,
+// garbage collectible, and able to complete the same construction
+// afterwards.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "dd/approx.hpp"
 #include "dd/manager.hpp"
 #include "support/error.hpp"
-#include "support/governor.hpp"
+#include "support/failpoint.hpp"
 
 namespace cfpm::dd {
 namespace {
@@ -32,7 +31,29 @@ void expect_table_consistent(const DdManager& mgr) {
   EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes() + mgr.dead_nodes());
 }
 
-TEST(ExceptionSafety, NodeBudgetThrowMidApplyLeavesManagerUsable) {
+/// Arms a one-shot ResourceError at the next node allocation.
+void arm_allocation_fault() {
+  failpoint::arm_from_spec("dd.allocate_node=throw_resource:1");
+}
+
+/// Builds the first `prefix` terms of weighted_sum, arms the allocation
+/// fault, then adds the next term: the throw comes from allocate_node
+/// underneath the recursive apply of that addition.
+void fault_inside_apply(DdManager& mgr, std::uint32_t prefix) {
+  const Add partial = weighted_sum(mgr, prefix);
+  const Add term =
+      Add(mgr.bdd_var(prefix)).times(static_cast<double>(1u << prefix));
+  arm_allocation_fault();
+  EXPECT_THROW(partial + term, ResourceError) << "prefix " << prefix;
+}
+
+class ExceptionSafety : public ::testing::Test {
+ protected:
+  void SetUp() override { failpoint::disarm_all(); }
+  void TearDown() override { failpoint::disarm_all(); }
+};
+
+TEST_F(ExceptionSafety, NodeBudgetThrowMidApplyLeavesManagerUsable) {
   DdConfig config;
   config.max_nodes = 400;
   config.gc_min_dead = 16;  // keep GC active at this tiny scale
@@ -59,17 +80,21 @@ TEST(ExceptionSafety, NodeBudgetThrowMidApplyLeavesManagerUsable) {
   EXPECT_DOUBLE_EQ(again.eval(assignment), 31.0);
 }
 
-TEST(ExceptionSafety, InjectedFaultThenExactRebuildSucceeds) {
-  auto governor = std::make_shared<Governor>();
-  DdConfig config;
-  config.governor = governor;
-  DdManager mgr(10, config);
+TEST_F(ExceptionSafety, AllocationFaultFiresOnceAtTheNextAllocation) {
+  DdManager mgr(2);
+  arm_allocation_fault();
+  EXPECT_THROW(mgr.constant(42.0), ResourceError);
+  EXPECT_TRUE(failpoint::armed().empty());
+  expect_table_consistent(mgr);
+  EXPECT_DOUBLE_EQ(mgr.constant(42.0).max_value(), 42.0);
+}
 
-  // Arm a one-shot resource fault a little way into the construction, so
-  // the throw comes from allocate_node underneath a recursive apply.
-  governor->inject_fault(FaultKind::kResource,
-                         governor->allocation_ticks() + 50);
-  EXPECT_THROW(weighted_sum(mgr, 10), ResourceError);
+TEST_F(ExceptionSafety, InjectedFaultThenExactRebuildSucceeds) {
+  DdManager mgr(10);
+
+  // Fault the addition of the sixth term, a little way into the
+  // construction.
+  fault_inside_apply(mgr, 5);
   expect_table_consistent(mgr);
 
   mgr.collect_garbage();
@@ -83,33 +108,14 @@ TEST(ExceptionSafety, InjectedFaultThenExactRebuildSucceeds) {
   assignment[3] = 1;
   assignment[7] = 1;
   EXPECT_DOUBLE_EQ(f.eval(assignment), 8.0 + 128.0);
-  EXPECT_GT(governor->peak_live_nodes(), 0u);
 }
 
-TEST(ExceptionSafety, InjectedCancellationUnwindsCleanly) {
-  auto governor = std::make_shared<Governor>();
-  DdConfig config;
-  config.governor = governor;
-  DdManager mgr(12, config);
-
-  governor->inject_fault(FaultKind::kCancel,
-                         governor->allocation_ticks() + 30);
-  EXPECT_THROW(weighted_sum(mgr, 12), CancelledError);
-  expect_table_consistent(mgr);
-  mgr.collect_garbage();
-  EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes());
-}
-
-TEST(ExceptionSafety, ThrowDuringApproximationRebuild) {
+TEST_F(ExceptionSafety, ThrowDuringApproximationRebuild) {
   // The approximation rebuild allocates into the same manager; an injected
   // fault there must unwind without leaking the partial rebuild.
-  auto governor = std::make_shared<Governor>();
-  DdConfig governed;
-  governed.governor = governor;
-  DdManager gmgr(12, governed);
+  DdManager gmgr(12);
   Add g = weighted_sum(gmgr, 12);
-  governor->inject_fault(FaultKind::kResource,
-                         governor->allocation_ticks() + 20);
+  arm_allocation_fault();
   EXPECT_THROW(approximate_to(g, 64, ApproxMode::kUpperBound), ResourceError);
   EXPECT_EQ(gmgr.unique_table_nodes(),
             gmgr.live_nodes() + gmgr.dead_nodes());
@@ -123,13 +129,10 @@ TEST(ExceptionSafety, ThrowDuringApproximationRebuild) {
   EXPECT_GE(approx.eval(assignment), g.eval(assignment) - 1e-9);
 }
 
-TEST(ExceptionSafety, RepeatedFaultsDoNotAccumulateLeaks) {
+TEST_F(ExceptionSafety, RepeatedFaultsDoNotAccumulateLeaks) {
   // Hammer the same manager with faults at varying depths; the node
   // population must return to the baseline every time once handles drop.
-  auto governor = std::make_shared<Governor>();
-  DdConfig config;
-  config.governor = governor;
-  DdManager mgr(10, config);
+  DdManager mgr(10);
 
   mgr.collect_garbage();
   const std::size_t baseline = [&] {
@@ -137,14 +140,10 @@ TEST(ExceptionSafety, RepeatedFaultsDoNotAccumulateLeaks) {
     return mgr.live_nodes();
   }();
 
-  for (int round = 0; round < 8; ++round) {
-    governor->inject_fault(FaultKind::kResource,
-                           governor->allocation_ticks() + 10 + 17 * round);
-    try {
-      weighted_sum(mgr, 10);
-      FAIL() << "fault did not fire in round " << round;
-    } catch (const ResourceError&) {
-    }
+  // Each round faults the addition of a different term, after a longer
+  // prefix of the sum.
+  for (std::uint32_t prefix = 1; prefix <= 8; ++prefix) {
+    fault_inside_apply(mgr, prefix);
     expect_table_consistent(mgr);
   }
   mgr.collect_garbage();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "support/deadline.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 
 namespace cfpm::dd {
 namespace {
@@ -117,6 +121,71 @@ TEST(DdManager, NodeBudgetThrowsResourceError) {
         }
       },
       ResourceError);
+}
+
+/// Allocates fresh terminals until the manager throws DeadlineExceeded and
+/// returns how many allocations succeeded first.
+std::size_t allocations_until_deadline(DdManager& mgr) {
+  for (std::size_t made = 0; made < 8 * kDeadlineCheckInterval; ++made) {
+    try {
+      mgr.constant(1e6 + static_cast<double>(made));
+    } catch (const DeadlineExceeded&) {
+      return made;
+    }
+  }
+  ADD_FAILURE() << "the expired deadline never fired";
+  return 8 * kDeadlineCheckInterval;
+}
+
+TEST(DdManager, ZeroDeadlineStopsAllocationWithinCheckInterval) {
+  DdConfig config;
+  config.deadline = deadline_after(0);
+  DdManager mgr(2, config);
+  EXPECT_LT(allocations_until_deadline(mgr), kDeadlineCheckInterval);
+  EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes() + mgr.dead_nodes());
+
+  // Without a deadline the same loop runs to the end.
+  DdManager unbounded(2);
+  for (std::size_t i = 0; i < 4 * kDeadlineCheckInterval; ++i) {
+    unbounded.constant(1e6 + static_cast<double>(i));
+  }
+}
+
+TEST(DdManager, DeadlineNeverFiresInsideALevelSwap) {
+  DdConfig config;
+  config.deadline = deadline_after(0);
+  constexpr std::uint32_t kVars = 6;
+  DdManager mgr(kVars, config);
+  // f = sum_k 2^k x_k: one terminal per assignment, built in far fewer than
+  // kDeadlineCheckInterval allocations, so no check has run yet.
+  Add f = mgr.constant(0.0);
+  for (std::uint32_t k = 0; k < kVars; ++k) {
+    f = f + Add(mgr.bdd_var(k)).times(static_cast<double>(1u << k));
+  }
+
+  // Swaps allocate well over a check interval's worth of nodes with the
+  // deadline long expired: none of those allocations may throw, because a
+  // half-relabeled level cannot be unwound.
+  const std::uint64_t before = metrics::snapshot().counter("dd.node.alloc");
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    mgr.swap_adjacent_levels(i % (kVars - 1));
+  }
+  if (metrics::compiled_in()) {
+    EXPECT_GE(metrics::snapshot().counter("dd.node.alloc") - before,
+              kDeadlineCheckInterval);
+  }
+
+  // Sifting checks between whole swaps, so it stops at once and leaves
+  // every function intact.
+  EXPECT_THROW(mgr.sift(), DeadlineExceeded);
+  EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes() + mgr.dead_nodes());
+  std::vector<std::uint8_t> assignment(kVars, 0);
+  assignment[1] = 1;
+  assignment[4] = 1;
+  EXPECT_DOUBLE_EQ(f.eval(assignment), 2.0 + 16.0);
+
+  // Outside reordering the next check interval catches the deadline.
+  EXPECT_LT(allocations_until_deadline(mgr), kDeadlineCheckInterval);
 }
 
 TEST(DdManager, SetOrderValidation) {

@@ -3,14 +3,13 @@
 // trace recorder must capture the corresponding phase spans.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 
 #include "eval/experiment.hpp"
 #include "netlist/generators.hpp"
 #include "power/add_model.hpp"
 #include "sim/simulator.hpp"
-#include "support/governor.hpp"
+#include "support/deadline.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -27,7 +26,7 @@ TEST(Observability, PipelineLeavesCountersInEverySubsystem) {
 
   power::AddModelOptions opt;
   opt.max_nodes = 200;
-  opt.dd_config.governor = std::make_shared<Governor>();
+  opt.dd_config.deadline = deadline_after(60 * 60 * 1000);
   const auto model = power::AddPowerModel::build(n, lib, opt);
 
   eval::EvalOptions options;
@@ -46,9 +45,9 @@ TEST(Observability, PipelineLeavesCountersInEverySubsystem) {
   // power: gates summed during construction, traces estimated during eval.
   EXPECT_GT(s.counter("power.build.gate.summed"), 0u);
   EXPECT_GT(s.counter("power.trace.call"), 0u);
-  // governor: the attached governor was polled by the allocator.
-  EXPECT_GT(s.counter("governor.poll.tick"), 0u);
-  EXPECT_GT(s.counter("governor.check.run"), 0u);
+  // deadline: the set deadline was checked during the build.
+  EXPECT_GT(s.counter("deadline.check.run"), 0u);
+  EXPECT_EQ(s.counter("deadline.expired"), 0u);
   // eval + sim: one grid run, one golden simulation per cell.
   EXPECT_EQ(s.counter("eval.grid.run"), 1u);
   EXPECT_EQ(s.counter("eval.grid.cell"), grid.size());

@@ -143,7 +143,9 @@ TEST(Generators, AluFunctions) {
         const auto vals = eval_all(n, in);
         unsigned y = 0;
         for (unsigned i = 0; i < w; ++i) {
-          if (vals[n.find("y" + std::to_string(i))]) y |= 1u << i;
+          std::string name = "y";
+          name += std::to_string(i);
+          if (vals[n.find(name)]) y |= 1u << i;
         }
         unsigned expect = 0;
         switch (f) {

@@ -135,7 +135,9 @@ TEST(Netlist, LevelsAndDepth) {
   Netlist chain("chain");
   SignalId prev = chain.add_input("a");
   for (int i = 0; i < 5; ++i) {
-    prev = chain.add_gate(GateType::kNot, {prev}, "n" + std::to_string(i));
+    std::string name = "n";
+    name += std::to_string(i);
+    prev = chain.add_gate(GateType::kNot, {prev}, name);
   }
   EXPECT_EQ(chain.depth(), 5u);
   EXPECT_EQ(chain.levels()[prev], 5u);

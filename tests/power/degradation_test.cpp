@@ -2,18 +2,17 @@
 // during model construction must yield a *usable* model via the ladder
 // (force-approximate -> halved budgets -> constant fallback), with every
 // rung recorded in the build info, and must propagate unchanged when the
-// ladder is disabled or a cancellation is requested.
+// ladder is disabled.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "netlist/generators.hpp"
 #include "power/add_model.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
-#include "support/governor.hpp"
+#include "support/failpoint.hpp"
 
 namespace cfpm::power {
 namespace {
@@ -32,7 +31,13 @@ void expect_usable(const AddPowerModel& model, const Netlist& n) {
   EXPECT_GE(model.worst_case_ff(), 0.0);
 }
 
-TEST(DegradationLadder, CleanBuildTakesNoRung) {
+class DegradationLadder : public ::testing::Test {
+ protected:
+  void SetUp() override { failpoint::disarm_all(); }
+  void TearDown() override { failpoint::disarm_all(); }
+};
+
+TEST_F(DegradationLadder, CleanBuildTakesNoRung) {
   const Netlist n = netlist::gen::c17();
   const AddPowerModel model =
       AddPowerModel::build(n, GateLibrary::standard(), {});
@@ -41,16 +46,14 @@ TEST(DegradationLadder, CleanBuildTakesNoRung) {
   EXPECT_EQ(model.build_info().attempts, 1u);
 }
 
-TEST(DegradationLadder, InjectedResourceFaultRecoversWithRungsRecorded) {
+TEST_F(DegradationLadder, InjectedResourceFaultRecoversWithRungsRecorded) {
   const Netlist n = netlist::gen::ripple_carry_adder(6);
-  auto governor = std::make_shared<Governor>();
-  // Fire well into the symbolic build: the first attempt dies, the ladder
-  // retries (the one-shot fault is then spent) and must succeed.
-  governor->inject_fault(FaultKind::kResource, 200);
+  // The first attempt dies at its first node allocation, the ladder retries
+  // (the one-shot fault is then spent) and must succeed.
+  failpoint::arm_from_spec("dd.allocate_node=throw_resource:1");
 
   AddModelOptions opt;
   opt.max_nodes = 500;
-  opt.dd_config.governor = governor;
   const AddPowerModel model =
       AddPowerModel::build(n, GateLibrary::standard(), opt);
 
@@ -63,7 +66,7 @@ TEST(DegradationLadder, InjectedResourceFaultRecoversWithRungsRecorded) {
   expect_usable(model, n);
 }
 
-TEST(DegradationLadder, TinyManagerCapHalvesDownToFallback) {
+TEST_F(DegradationLadder, TinyManagerCapHalvesDownToFallback) {
   // A manager cap so small that even approximate retries blow it: the
   // ladder must walk halve-max-nodes rungs and surrender to the constant
   // fallback instead of throwing.
@@ -84,7 +87,7 @@ TEST(DegradationLadder, TinyManagerCapHalvesDownToFallback) {
   EXPECT_DOUBLE_EQ(model.estimate_ff(a, a), model.estimate_ff(a, b));
 }
 
-TEST(DegradationLadder, FallbackUpperBoundDominatesGolden) {
+TEST_F(DegradationLadder, FallbackUpperBoundDominatesGolden) {
   // In bound mode the constant fallback is the total driven load, which
   // dominates any single transition's switched capacitance.
   const Netlist n = netlist::gen::c17();
@@ -106,13 +109,10 @@ TEST(DegradationLadder, FallbackUpperBoundDominatesGolden) {
   EXPECT_DOUBLE_EQ(model.estimate_ff(a, b), total);
 }
 
-TEST(DegradationLadder, ExpiredDeadlineSurrendersToConstant) {
+TEST_F(DegradationLadder, ExpiredDeadlineSurrendersToConstant) {
   const Netlist n = netlist::gen::ripple_carry_adder(6);
-  auto governor = std::make_shared<Governor>();
-  governor->set_deadline(std::chrono::milliseconds(0));
-
   AddModelOptions opt;
-  opt.dd_config.governor = governor;
+  opt.dd_config.deadline = deadline_after(0);
   const AddPowerModel model =
       AddPowerModel::build(n, GateLibrary::standard(), opt);
 
@@ -124,7 +124,7 @@ TEST(DegradationLadder, ExpiredDeadlineSurrendersToConstant) {
   expect_usable(model, n);
 }
 
-TEST(DegradationLadder, DisabledLadderRethrows) {
+TEST_F(DegradationLadder, DisabledLadderRethrows) {
   const Netlist n = netlist::gen::ripple_carry_adder(6);
   AddModelOptions opt;
   opt.degrade = false;
@@ -132,40 +132,22 @@ TEST(DegradationLadder, DisabledLadderRethrows) {
   EXPECT_THROW(AddPowerModel::build(n, GateLibrary::standard(), opt),
                ResourceError);
 
-  auto governor = std::make_shared<Governor>();
-  governor->set_deadline(std::chrono::milliseconds(0));
   AddModelOptions opt2;
   opt2.degrade = false;
-  opt2.dd_config.governor = governor;
+  opt2.dd_config.deadline = deadline_after(0);
   EXPECT_THROW(AddPowerModel::build(n, GateLibrary::standard(), opt2),
                DeadlineExceeded);
 }
 
-TEST(DegradationLadder, CancellationAlwaysPropagates) {
-  // Cancellation means "stop", never "degrade": even with the ladder on,
-  // a cancelled build must throw.
-  const Netlist n = netlist::gen::ripple_carry_adder(6);
-  auto governor = std::make_shared<Governor>();
-  governor->request_cancellation();
-
-  AddModelOptions opt;
-  opt.degrade = true;
-  opt.dd_config.governor = governor;
-  EXPECT_THROW(AddPowerModel::build(n, GateLibrary::standard(), opt),
-               CancelledError);
-}
-
-TEST(DegradationLadder, DegradedAverageModelStaysInRange) {
+TEST_F(DegradationLadder, DegradedAverageModelStaysInRange) {
   // A degraded average model is approximate, not garbage: its global
   // average must stay within the function's min/max envelope and its
   // estimates must be non-negative.
   const Netlist n = netlist::gen::ripple_carry_adder(5);
-  auto governor = std::make_shared<Governor>();
-  governor->inject_fault(FaultKind::kResource, 300);
+  failpoint::arm_from_spec("dd.allocate_node=throw_resource:1");
 
   AddModelOptions opt;
   opt.max_nodes = 200;
-  opt.dd_config.governor = governor;
   const AddPowerModel model =
       AddPowerModel::build(n, GateLibrary::standard(), opt);
   EXPECT_NE(model.build_info().outcome, BuildOutcome::kClean);

@@ -301,7 +301,6 @@ TEST(ServeConcurrency, ParallelClientsShareOneDeduplicatedBuild) {
 }
 
 TEST(ServeErrors, FailedBuildIsNotCachedAndARetryBuilds) {
-  if (!failpoint::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
   ScopedServer daemon("retry");
   Client client = connect_with_retry(daemon.socket_path);
   const service::BuildRequest request = c17_request();

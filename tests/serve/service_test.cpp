@@ -33,7 +33,6 @@ TEST(ServiceErrors, ClassifyMapsTypesToKindsAndCodes) {
   EXPECT_EQ(classify_of(IoError("x")).kind, ErrorKind::kIo);
   EXPECT_EQ(classify_of(ResourceError("x")).kind, ErrorKind::kResource);
   EXPECT_EQ(classify_of(DeadlineExceeded("x")).kind, ErrorKind::kDeadline);
-  EXPECT_EQ(classify_of(CancelledError("x")).kind, ErrorKind::kCancelled);
   EXPECT_EQ(classify_of(std::bad_alloc()).kind, ErrorKind::kOom);
   EXPECT_EQ(classify_of(std::bad_alloc()).code, StatusCode::kOom);
   EXPECT_EQ(classify_of(std::runtime_error("x")).kind, ErrorKind::kInternal);
@@ -44,7 +43,6 @@ TEST(ServiceErrors, RethrowResurrectsTheTypedException) {
   // The round trip that lets a remote DeadlineExceeded land typed locally.
   EXPECT_THROW(rethrow(classify_of(DeadlineExceeded("too slow"))),
                DeadlineExceeded);
-  EXPECT_THROW(rethrow(classify_of(CancelledError("stop"))), CancelledError);
   EXPECT_THROW(rethrow(classify_of(ParseError("bad"))), ParseError);
   EXPECT_THROW(rethrow(classify_of(IoError("io"))), IoError);
   EXPECT_THROW(rethrow(classify_of(ResourceError("mem"))), ResourceError);

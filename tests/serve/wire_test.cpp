@@ -306,6 +306,20 @@ TEST(Wire, MalformedPayloadsThrowParseError) {
   EXPECT_THROW(decode_chip_reply(encoded), ParseError);
 }
 
+TEST(Wire, RetiredErrorKindIsRejected) {
+  // Kind 6 carried a cancellation error that no longer exists; its
+  // neighbours keep their codes, so the protocol version is unchanged.
+  EXPECT_THROW(decode_error("code 1\nkind 6\nmessage 1\nx"), ParseError);
+  EXPECT_EQ(decode_error("code 1\nkind 5\nmessage 1\nx").kind,
+            service::ErrorKind::kDeadline);
+  EXPECT_EQ(decode_error("code 4\nkind 7\nmessage 1\nx").kind,
+            service::ErrorKind::kOom);
+  EXPECT_EQ(decode_error("code 5\nkind 8\nmessage 1\nx").kind,
+            service::ErrorKind::kInternal);
+  EXPECT_THROW(decode_error("code 1\nkind 9\nmessage 1\nx"), ParseError);
+  EXPECT_EQ(kProtocolVersion, 2);
+}
+
 TEST(Wire, WriteToClosedSocketPeerThrowsInsteadOfRaisingSigpipe) {
   // A daemon that drops a connection right after accept leaves the client
   // writing into a closed socket: that must be a typed IoError, not a

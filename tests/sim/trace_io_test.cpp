@@ -68,7 +68,9 @@ TEST(Vcd, MultiCharIdsBeyond94Signals) {
   // 100-input circuit forces 2-character identifier codes.
   Netlist n("wide");
   for (int i = 0; i < 100; ++i) {
-    n.add_input("x" + std::to_string(i));
+    std::string name = "x";
+    name += std::to_string(i);
+    n.add_input(name);
   }
   n.add_gate(netlist::GateType::kOr, {0u, 1u}, "y");
   n.mark_output(n.find("y"));

@@ -21,10 +21,7 @@ namespace {
 
 class FaultCampaign : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!failpoint::compiled_in()) GTEST_SKIP() << "no failpoint hooks";
-    failpoint::disarm_all();
-  }
+  void SetUp() override { failpoint::disarm_all(); }
   void TearDown() override { failpoint::disarm_all(); }
 };
 
@@ -126,16 +123,6 @@ TEST_F(FaultCampaign, ReplayArmsTheRecordedSpecAndDisarmsAfter) {
   const CheckResult clean = replay(r);
   EXPECT_TRUE(clean.ok) << clean.detail;
 }
-
-#ifdef CFPM_NO_FAILPOINTS
-TEST(FaultCampaignCompiledOut, FaultsModeIsATypedErrorNotASilentNoOp) {
-  FuzzOptions opt;
-  opt.runs = 1;
-  opt.corpus_dir = "";
-  opt.faults = true;
-  EXPECT_THROW(run_fuzz(opt), Error);
-}
-#endif
 
 }  // namespace
 }  // namespace cfpm::verify

@@ -8,8 +8,8 @@
 #include <string>
 
 #include "netlist/generators.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
-#include "support/governor.hpp"
 #include "verify/fuzzer.hpp"
 #include "verify/minimize.hpp"
 
@@ -163,8 +163,7 @@ TEST(Fuzzer, ExpiredDeadlineStopsTheCampaignCleanly) {
   opt.seed = 3;
   opt.runs = 50;
   opt.corpus_dir.clear();
-  opt.governor = std::make_shared<Governor>();
-  opt.governor->set_deadline(std::chrono::milliseconds(0));
+  opt.deadline = deadline_after(0);
   const FuzzReport report = run_fuzz(opt);
   EXPECT_TRUE(report.deadline_hit);
   EXPECT_LT(report.iterations, 50u);
