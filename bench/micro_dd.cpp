@@ -23,6 +23,7 @@
 #include "dd/stats.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/verify.hpp"
 #include "sim/simulator.hpp"
 #include "support/io.hpp"
 #include "support/rng.hpp"
@@ -185,7 +186,6 @@ BENCHMARK(BM_GarbageCollection);
 /// cost and free on a complement-edge kernel).
 std::vector<Bdd> build_signal_bdds(DdManager& mgr, const cfpm::netlist::Netlist& n,
                                    std::size_t* binary_ops) {
-  using cfpm::netlist::GateType;
   using cfpm::netlist::SignalId;
   std::vector<Bdd> g(n.num_signals());
   for (SignalId s = 0; s < n.num_signals(); ++s) {
@@ -194,50 +194,9 @@ std::vector<Bdd> build_signal_bdds(DdManager& mgr, const cfpm::netlist::Netlist&
       g[s] = mgr.bdd_var(n.input_index(s));
       continue;
     }
-    const auto fanins = n.fanins(s);
-    switch (sig.type) {
-      case GateType::kConst0:
-        g[s] = mgr.bdd_zero();
-        continue;
-      case GateType::kConst1:
-        g[s] = mgr.bdd_one();
-        continue;
-      case GateType::kBuf:
-        g[s] = g[fanins[0]];
-        continue;
-      case GateType::kNot:
-        g[s] = !g[fanins[0]];
-        continue;
-      default:
-        break;
-    }
-    Bdd acc = g[fanins[0]];
-    for (std::size_t k = 1; k < fanins.size(); ++k) {
-      const Bdd& next = g[fanins[k]];
-      switch (sig.type) {
-        case GateType::kAnd:
-        case GateType::kNand:
-          acc = acc & next;
-          break;
-        case GateType::kOr:
-        case GateType::kNor:
-          acc = acc | next;
-          break;
-        case GateType::kXor:
-        case GateType::kXnor:
-          acc = acc ^ next;
-          break;
-        default:
-          acc = acc & next;
-          break;
-      }
-      ++*binary_ops;
-    }
-    if (sig.type == GateType::kNand || sig.type == GateType::kNor ||
-        sig.type == GateType::kXnor) {
-      acc = !acc;
-    }
-    g[s] = acc;
+    g[s] = cfpm::netlist::gate_bdd(mgr, n, s, g);
+    // A k-input AND/OR/XOR-family gate folds k - 1 binary applies.
+    if (const std::size_t k = n.fanins(s).size(); k > 1) *binary_ops += k - 1;
   }
   return g;
 }

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "dd/manager.hpp"
 #include "dd/stats.hpp"
 #include "support/assert.hpp"
 
@@ -22,50 +21,55 @@ std::vector<dd::Bdd> build_functions(
       f[s] = mgr.bdd_var(var_of.at(sig.name));
       continue;
     }
-    switch (sig.type) {
-      case GateType::kConst0:
-        f[s] = mgr.bdd_zero();
-        break;
-      case GateType::kConst1:
-        f[s] = mgr.bdd_one();
-        break;
-      case GateType::kBuf:
-        f[s] = f[n.fanins(s)[0]];
-        break;
-      case GateType::kNot:
-        f[s] = !f[n.fanins(s)[0]];
-        break;
-      default: {
-        const auto fanins = n.fanins(s);
-        dd::Bdd acc = f[fanins[0]];
-        for (std::size_t k = 1; k < fanins.size(); ++k) {
-          switch (sig.type) {
-            case GateType::kAnd:
-            case GateType::kNand:
-              acc = acc & f[fanins[k]];
-              break;
-            case GateType::kOr:
-            case GateType::kNor:
-              acc = acc | f[fanins[k]];
-              break;
-            default:  // kXor / kXnor
-              acc = acc ^ f[fanins[k]];
-              break;
-          }
-        }
-        if (sig.type == GateType::kNand || sig.type == GateType::kNor ||
-            sig.type == GateType::kXnor) {
-          acc = !acc;
-        }
-        f[s] = std::move(acc);
-        break;
-      }
-    }
+    f[s] = gate_bdd(mgr, n, s, f);
   }
   return f;
 }
 
 }  // namespace
+
+dd::Bdd gate_bdd(dd::DdManager& mgr, const Netlist& n, SignalId s,
+                 const std::vector<dd::Bdd>& env) {
+  const GateType type = n.signal(s).type;
+  const auto fanins = n.fanins(s);
+  switch (type) {
+    case GateType::kConst0:
+      return mgr.bdd_zero();
+    case GateType::kConst1:
+      return mgr.bdd_one();
+    case GateType::kBuf:
+      return env[fanins[0]];
+    case GateType::kNot:
+      return !env[fanins[0]];
+    default:
+      break;
+  }
+  dd::Bdd acc = env[fanins[0]];
+  for (std::size_t k = 1; k < fanins.size(); ++k) {
+    const dd::Bdd& next = env[fanins[k]];
+    switch (type) {
+      case GateType::kAnd:
+      case GateType::kNand:
+        acc = acc & next;
+        break;
+      case GateType::kOr:
+      case GateType::kNor:
+        acc = acc | next;
+        break;
+      case GateType::kXor:
+      case GateType::kXnor:
+        acc = acc ^ next;
+        break;
+      default:
+        CFPM_UNREACHABLE("gate type");
+    }
+  }
+  if (type == GateType::kNand || type == GateType::kNor ||
+      type == GateType::kXnor) {
+    acc = !acc;
+  }
+  return acc;
+}
 
 EquivalenceResult check_equivalence(const Netlist& golden,
                                     const Netlist& candidate) {

@@ -11,9 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "dd/manager.hpp"
 #include "netlist/netlist.hpp"
 
 namespace cfpm::netlist {
+
+/// The BDD of gate `s` of `n` from its fan-ins' BDDs in `env` (indexed by
+/// signal): AND/OR/XOR fold left over the fan-ins in order, NAND/NOR/XNOR
+/// negate that fold. `s` must not be a primary input.
+dd::Bdd gate_bdd(dd::DdManager& mgr, const Netlist& n, SignalId s,
+                 const std::vector<dd::Bdd>& env);
 
 struct EquivalenceResult {
   bool equivalent = false;

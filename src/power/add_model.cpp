@@ -8,6 +8,7 @@
 
 #include "dd/serialize.hpp"
 #include "dd/stats.hpp"
+#include "netlist/verify.hpp"
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -94,8 +95,8 @@ class SymbolicBuilder {
             map_var(options_.order, idx, true, num_inputs));
         continue;
       }
-      g_i[s] = build_gate(*mgr, sig.type, s, g_i);
-      g_f[s] = build_gate(*mgr, sig.type, s, g_f);
+      g_i[s] = netlist::gate_bdd(*mgr, n_, s, g_i);
+      g_f[s] = netlist::gate_bdd(*mgr, n_, s, g_f);
 
       // deltaC = NOT(g(x^i)) AND g(x^f), weighted by the load (Fig. 6).
       dd::Bdd rising = (!g_i[s]) & g_f[s];
@@ -170,49 +171,6 @@ class SymbolicBuilder {
   }
 
  private:
-  dd::Bdd build_gate(dd::DdManager& mgr, netlist::GateType type, SignalId s,
-                     const std::vector<dd::Bdd>& env) {
-    using netlist::GateType;
-    const auto fanins = n_.fanins(s);
-    switch (type) {
-      case GateType::kConst0:
-        return mgr.bdd_zero();
-      case GateType::kConst1:
-        return mgr.bdd_one();
-      case GateType::kBuf:
-        return env[fanins[0]];
-      case GateType::kNot:
-        return !env[fanins[0]];
-      default:
-        break;
-    }
-    dd::Bdd acc = env[fanins[0]];
-    for (std::size_t k = 1; k < fanins.size(); ++k) {
-      const dd::Bdd& next = env[fanins[k]];
-      switch (type) {
-        case GateType::kAnd:
-        case GateType::kNand:
-          acc = acc & next;
-          break;
-        case GateType::kOr:
-        case GateType::kNor:
-          acc = acc | next;
-          break;
-        case GateType::kXor:
-        case GateType::kXnor:
-          acc = acc ^ next;
-          break;
-        default:
-          CFPM_UNREACHABLE("gate type");
-      }
-    }
-    if (type == GateType::kNand || type == GateType::kNor ||
-        type == GateType::kXnor) {
-      acc = !acc;
-    }
-    return acc;
-  }
-
   const Netlist& n_;
   std::span<const double> loads_;
   const AddModelOptions& options_;

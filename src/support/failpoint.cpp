@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <iostream>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -38,8 +36,6 @@ Registry& reg() {
   static auto* r = new Registry();
   return *r;
 }
-
-std::atomic<std::uint64_t> g_total_fires{0};
 
 struct ParsedEntry {
   std::string name;
@@ -108,22 +104,6 @@ std::vector<ParsedEntry> parse_spec(std::string_view spec) {
   return entries;
 }
 
-// Seeds the registry from CFPM_FAILPOINTS once, before main(), so every
-// binary (tests included) honors a standing fault config without plumbing.
-// Static-init context: a malformed value warns instead of throwing.
-const bool g_env_seeded = [] {
-  const char* env = std::getenv("CFPM_FAILPOINTS");
-  if (env != nullptr && *env != '\0') {
-    try {
-      arm_from_spec(env);
-    } catch (const std::exception& e) {
-      std::cerr << "cfpm: warning: ignoring CFPM_FAILPOINTS: " << e.what()
-                << "\n";
-    }
-  }
-  return true;
-}();
-
 }  // namespace
 
 void arm(const std::string& name, Action action, std::uint64_t count,
@@ -179,15 +159,6 @@ std::vector<Status> armed() {
   return out;
 }
 
-std::uint64_t total_fires() noexcept {
-  return g_total_fires.load(std::memory_order_relaxed);
-}
-
-void refresh_from_env() {
-  const char* env = std::getenv("CFPM_FAILPOINTS");
-  if (env != nullptr && *env != '\0') arm_from_spec(env);
-}
-
 namespace detail {
 
 void hit_slow(std::string_view name) {
@@ -207,7 +178,6 @@ void hit_slow(std::string_view name) {
       g_armed_count.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  g_total_fires.fetch_add(1, std::memory_order_relaxed);
   c_fired.add();
   switch (action) {
     case Action::kThrowBadAlloc:

@@ -14,12 +14,8 @@
 // for a full disk or OOM in the wild.
 //
 // Activation surfaces:
-//  * env:  CFPM_FAILPOINTS="name=action[:count],name2=action2" — parsed once
-//          at process start (static initializer); malformed
-//          specs warn on stderr and are ignored, so a bad env var can never
-//          abort an unrelated binary.
-//  * CLI:  `cfpm ... --failpoints <spec>` — same grammar, but a malformed
-//          spec is a usage error.
+//  * CLI:  `cfpm ... --failpoints <spec>` — a malformed spec is a usage
+//          error.
 //  * code: arm()/arm_from_spec()/disarm()/disarm_all() below.
 //
 // Spec grammar (count omitted = 1; count 0 = fire on every hit):
@@ -27,6 +23,9 @@
 //   entry  := name '=' action [':' count]
 //   action := throw_bad_alloc | throw_deadline | throw_resource | fail_io
 //           | delay_ms(N)
+//
+// Every fire (a hit that performs its action) adds one to the
+// `failpoint.fired` counter; hits on unarmed or spent names do not count.
 //
 // Thread safety: arm/disarm/hit may race freely; the registry is guarded by
 // a mutex on the slow path only. A hit on an unarmed process never takes
@@ -76,20 +75,11 @@ void validate_spec(std::string_view spec);
 /// Disarms `name` if armed; no-op otherwise.
 void disarm(const std::string& name);
 
-/// Disarms everything (including entries seeded from CFPM_FAILPOINTS).
+/// Disarms everything.
 void disarm_all();
 
 /// Currently armed failpoints, sorted by name.
 std::vector<Status> armed();
-
-/// Process-wide number of times any failpoint has fired (performed its
-/// action). Hits on unarmed or spent names do not count.
-std::uint64_t total_fires() noexcept;
-
-/// Re-reads CFPM_FAILPOINTS and arms its entries on top of the current
-/// state (throws cfpm::Error on a malformed value — unlike process start,
-/// an explicit refresh wants to hear about it). For tests.
-void refresh_from_env();
 
 namespace detail {
 

@@ -1,21 +1,16 @@
 #include "support/metrics.hpp"
 
 #include <algorithm>
-#include <ostream>
-
-#ifndef CFPM_NO_METRICS
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <ostream>
 
 #include "support/assert.hpp"
-#endif
 
 namespace cfpm::metrics {
-
-#ifndef CFPM_NO_METRICS
 
 namespace {
 
@@ -241,8 +236,6 @@ ScopedTimer::~ScopedTimer() {
 Snapshot snapshot() { return Registry::instance().snapshot(); }
 
 void reset_for_testing() { Registry::instance().reset(); }
-
-#endif  // CFPM_NO_METRICS
 
 std::uint64_t Snapshot::counter(std::string_view name) const {
   for (const CounterValue& c : counters) {

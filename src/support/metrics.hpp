@@ -9,10 +9,8 @@
 //    atomics; snapshot() merges live shards plus the folded totals of
 //    exited threads. Counts are therefore exact (nothing is sampled or
 //    dropped), only the instant of visibility is relaxed.
-//  * Compile-out: building with -DCFPM_NO_METRICS replaces every handle
-//    with an inert stub, so instrumented code carries zero cost and the
-//    snapshot is empty. Snapshot itself stays available in both modes so
-//    consumers (CLI, benches) need no conditional code.
+//  * Metering is per call, not per inner-loop step; the three per-operation
+//    DD-core counters named in DESIGN.md §10 are the known exceptions.
 //
 // Metric names follow `subsystem.noun.verb` (e.g. "dd.cache.hit",
 // "power.build.rung") and must be string literals or otherwise outlive the
@@ -70,8 +68,6 @@ struct Snapshot {
   void write_json(std::ostream& os) const;
 };
 
-#ifndef CFPM_NO_METRICS
-
 /// Monotonically increasing counter.
 class Counter {
  public:
@@ -124,41 +120,5 @@ Snapshot snapshot();
 /// Intended for tests that assert exact counts from a clean slate; racing
 /// writers on other threads are zeroed too, not unregistered.
 void reset_for_testing();
-
-/// True when the registry is compiled in.
-constexpr bool compiled_in() noexcept { return true; }
-
-#else  // CFPM_NO_METRICS: inert stubs, identical surface.
-
-class Counter {
- public:
-  explicit Counter(std::string_view) noexcept {}
-  void add(std::uint64_t = 1) const noexcept {}
-};
-
-class Gauge {
- public:
-  explicit Gauge(std::string_view) noexcept {}
-  void set(double) const noexcept {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::string_view) noexcept {}
-  void observe(std::uint64_t) const noexcept {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram&) noexcept {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-inline Snapshot snapshot() { return {}; }
-inline void reset_for_testing() {}
-constexpr bool compiled_in() noexcept { return false; }
-
-#endif  // CFPM_NO_METRICS
 
 }  // namespace cfpm::metrics

@@ -1,7 +1,5 @@
 #include "support/trace.hpp"
 
-#ifndef CFPM_NO_METRICS
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -128,5 +126,3 @@ Span::~Span() {
 }
 
 }  // namespace cfpm::trace
-
-#endif  // CFPM_NO_METRICS

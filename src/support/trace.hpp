@@ -12,15 +12,11 @@
 //     CFPM_TRACE_SPAN("dd.sift");
 //     ...
 //   }
-//
-// With -DCFPM_NO_METRICS the whole facility compiles out to no-ops.
 #pragma once
 
 #include <iosfwd>
 
 namespace cfpm::trace {
-
-#ifndef CFPM_NO_METRICS
 
 /// True when span recording is on.
 bool enabled() noexcept;
@@ -51,22 +47,6 @@ class Span {
   const char* name_;  // nullptr when not recording
   unsigned long long start_ns_;
 };
-
-#else  // CFPM_NO_METRICS
-
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-inline void clear() {}
-inline void write_chrome_json(std::ostream&) {}
-
-class Span {
- public:
-  explicit Span(const char*) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-#endif  // CFPM_NO_METRICS
 
 }  // namespace cfpm::trace
 

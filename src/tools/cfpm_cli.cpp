@@ -121,8 +121,7 @@ int usage() {
       "--deadline-ms N bounds model construction by wall clock; on expiry\n"
       "the build degrades (harder approximation, then a constant bound)\n"
       "instead of running unbounded. --no-degrade fails fast instead.\n"
-      "--failpoints SPEC arms fault-injection points for this run, same\n"
-      "grammar as the CFPM_FAILPOINTS environment variable:\n"
+      "--failpoints SPEC arms fault-injection points for this run:\n"
       "  name=action[:count][,name=action[:count]...]\n"
       "with action one of throw_bad_alloc, throw_deadline, throw_resource,\n"
       "delay_ms(N), fail_io (count 0 = fire forever; default once).\n"
@@ -338,14 +337,11 @@ std::optional<Args> parse(int argc, char** argv) {
       std::size_t ms = 0;
       ok = number(ms);
       if (ok) a.deadline_ms = ms;
-    } else if (flag == "--degrade") {
-      ok = boolean(a.degrade, true);
     } else if (flag == "--no-degrade") {
       ok = boolean(a.degrade, false);
     } else if (flag == "--failpoints") {
       // Applied immediately: the registry is process-global state, and
-      // arm_from_spec doubles as the validator (same grammar as the
-      // CFPM_FAILPOINTS environment variable).
+      // arm_from_spec doubles as the validator.
       std::string spec;
       ok = text(spec) && [&] {
         try {
@@ -433,12 +429,10 @@ int report_build_outcome(const power::AddModelBuildInfo& info) {
     std::cout << " after: " << rung.reason << "\n";
   }
   const metrics::Snapshot snap = metrics::snapshot();
-  if (metrics::compiled_in()) {
-    std::cout << "  spent : " << snap.counter("dd.node.alloc")
-              << " node allocs, " << snap.counter("deadline.check.run")
-              << " deadline checks, " << snap.counter("dd.gc.reclaimed")
-              << " nodes reclaimed\n";
-  }
+  std::cout << "  spent : " << snap.counter("dd.node.alloc")
+            << " node allocs, " << snap.counter("deadline.check.run")
+            << " deadline checks, " << snap.counter("dd.gc.reclaimed")
+            << " nodes reclaimed\n";
   return kExitDegraded;
 }
 

@@ -134,8 +134,7 @@ CheckResult replay(const Repro& r) {
 
   // Fault-campaign repro: the recorded spec replaces whatever is armed for
   // the duration of the check, then everything is disarmed (the repro's
-  // budget is its own; a standing CFPM_FAILPOINTS config would make replay
-  // nondeterministic anyway).
+  // budget is its own).
   struct DisarmGuard {
     ~DisarmGuard() { failpoint::disarm_all(); }
   } guard;

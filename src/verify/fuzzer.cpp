@@ -22,6 +22,11 @@ namespace cfpm::verify {
 
 namespace {
 
+// Process-wide failpoint fires so far; a check's fires are the delta.
+std::uint64_t failpoint_fires() {
+  return metrics::snapshot().counter("failpoint.fired");
+}
+
 std::string hex_seed(std::uint64_t seed) {
   static const char* kDigits = "0123456789abcdef";
   std::string s(16, '0');
@@ -182,13 +187,13 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
         // left behind, arm this iteration's plan.
         failpoint::disarm_all();
         failpoint::arm_from_spec(fault_spec);
-        fires_before = failpoint::total_fires();
+        fires_before = failpoint_fires();
       }
       CheckResult result;
       try {
         result = run_check(*check, n, ctx);
       } catch (const DeadlineExceeded& e) {
-        if (opt.faults && failpoint::total_fires() > fires_before) {
+        if (opt.faults && failpoint_fires() > fires_before) {
           // An armed throw_deadline fault propagated (run_check treats
           // deadlines as a stop signal, so it cannot convert them). In a
           // fault campaign it is a typed finding like any injected throw.
@@ -203,7 +208,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
       }
       bool fired = false;
       if (opt.faults) {
-        const std::uint64_t delta = failpoint::total_fires() - fires_before;
+        const std::uint64_t delta = failpoint_fires() - fires_before;
         report.faults_fired += delta;
         fired = delta > 0;
         failpoint::disarm_all();

@@ -645,7 +645,7 @@ CheckResult check_serve_roundtrip(const Netlist& n, const CheckContext& ctx) {
         metrics::snapshot().counter("serve.persist.error") +
         metrics::snapshot().counter("serve.persist.rejected") -
         persist_failures_before;
-    if (!metrics::compiled_in() || persist_failures > 0) return pass();
+    if (persist_failures > 0) return pass();
     return fail("persisted registry empty after a clean shutdown");
   }
   const auto reloaded = registry.lookup(local_build.id);

@@ -170,10 +170,8 @@ TEST(DdManager, DeadlineNeverFiresInsideALevelSwap) {
   for (std::uint32_t i = 0; i < 400; ++i) {
     mgr.swap_adjacent_levels(i % (kVars - 1));
   }
-  if (metrics::compiled_in()) {
-    EXPECT_GE(metrics::snapshot().counter("dd.node.alloc") - before,
-              kDeadlineCheckInterval);
-  }
+  EXPECT_GE(metrics::snapshot().counter("dd.node.alloc") - before,
+            kDeadlineCheckInterval);
 
   // Sifting checks between whole swaps, so it stops at once and leaves
   // every function intact.

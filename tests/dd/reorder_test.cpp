@@ -145,7 +145,6 @@ std::uint64_t cache_wipes() {
 }
 
 TEST(Reorder, SiftWipesTheComputedCacheAtMostOnce) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   constexpr std::size_t kVars = 8;
   DdManager mgr(kVars);
   Xoshiro256 rng(41);

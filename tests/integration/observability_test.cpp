@@ -17,7 +17,6 @@ namespace cfpm {
 namespace {
 
 TEST(Observability, PipelineLeavesCountersInEverySubsystem) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   metrics::reset_for_testing();
 
   const netlist::Netlist n = netlist::gen::mcnc_like("cm85");
@@ -59,7 +58,6 @@ TEST(Observability, PipelineLeavesCountersInEverySubsystem) {
 }
 
 TEST(Observability, PhaseSpansCoverBuildAndEvaluation) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   trace::clear();
   trace::set_enabled(true);
 

@@ -319,10 +319,8 @@ TEST(RegistryPersistence, ForgedNodeCountIsSkippedAndCounted) {
   EXPECT_EQ(reloaded.load(dir), 1u);
   EXPECT_NE(reloaded.lookup(good.id), nullptr);
   EXPECT_EQ(reloaded.lookup(forged.id), nullptr);
-  if (metrics::compiled_in()) {
-    EXPECT_EQ(metrics::snapshot().counter("serve.persist.rejected"),
-              rejected + 1);
-  }
+  EXPECT_EQ(metrics::snapshot().counter("serve.persist.rejected"),
+            rejected + 1);
   std::filesystem::remove_all(dir);
 }
 

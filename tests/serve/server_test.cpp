@@ -140,9 +140,7 @@ TEST(ServeCache, RepeatedBuildIsAHitWithZeroConstruction) {
   const wire::StatsReply after_second = client.stats();
   EXPECT_EQ(after_second.builds - after_first.builds, 0u);
   EXPECT_EQ(after_second.models, after_first.models);
-  if (metrics::compiled_in()) {
-    EXPECT_GT(after_second.hits, after_first.hits);
-  }
+  EXPECT_GT(after_second.hits, after_first.hits);
 }
 
 TEST(ServeCache, ModelShapingKnobsAddressDistinctModels) {
@@ -293,11 +291,9 @@ TEST(ServeConcurrency, ParallelClientsShareOneDeduplicatedBuild) {
   }
   Client probe = connect_with_retry(daemon.socket_path);
   EXPECT_EQ(probe.stats().models, 1u);
-  if (metrics::compiled_in()) {
-    // Concurrent requesters of one id wait on the same job: exactly one
-    // construction no matter how the connection threads interleave.
-    EXPECT_EQ(probe.stats().builds - before_builds, 1u);
-  }
+  // Concurrent requesters of one id wait on the same job: exactly one
+  // construction no matter how the connection threads interleave.
+  EXPECT_EQ(probe.stats().builds - before_builds, 1u);
 }
 
 TEST(ServeErrors, FailedBuildIsNotCachedAndARetryBuilds) {

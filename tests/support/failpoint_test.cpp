@@ -1,13 +1,12 @@
-// Failpoint registry: spec grammar, fire budgets, typed actions, and env
-// seeding.
+// Failpoint registry: spec grammar, fire budgets and typed actions.
 #include "support/failpoint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <new>
 
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 
 namespace cfpm::failpoint {
 namespace {
@@ -55,14 +54,18 @@ TEST_F(Failpoint, ForeverCountNeverSpends) {
   EXPECT_NO_THROW(hit("fp.forever"));
 }
 
+std::uint64_t fired_count() {
+  return metrics::snapshot().counter("failpoint.fired");
+}
+
 TEST_F(Failpoint, TotalFiresCountsActionsNotHits) {
-  const std::uint64_t before = total_fires();
+  const std::uint64_t before = fired_count();
   hit("fp.unarmed");  // no action, no fire
   arm("fp.count", Action::kThrowResource, 2);
   EXPECT_THROW(hit("fp.count"), ResourceError);
   EXPECT_THROW(hit("fp.count"), ResourceError);
   hit("fp.count");  // spent
-  EXPECT_EQ(total_fires(), before + 2);
+  EXPECT_EQ(fired_count(), before + 2);
 }
 
 TEST_F(Failpoint, SpecGrammarArmsEverything) {
@@ -119,19 +122,6 @@ TEST_F(Failpoint, RearmingReplacesTheEntry) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].action, Action::kFailIo);
   EXPECT_EQ(entries[0].remaining, 1u);
-}
-
-TEST_F(Failpoint, RefreshFromEnvArmsAndRejects) {
-  ASSERT_EQ(::setenv("CFPM_FAILPOINTS", "env.site=throw_resource:4", 1), 0);
-  refresh_from_env();
-  const auto entries = armed();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].name, "env.site");
-  EXPECT_EQ(entries[0].remaining, 4u);
-
-  ASSERT_EQ(::setenv("CFPM_FAILPOINTS", "garbage spec", 1), 0);
-  EXPECT_THROW(refresh_from_env(), Error);
-  ASSERT_EQ(::unsetenv("CFPM_FAILPOINTS"), 0);
 }
 
 }  // namespace

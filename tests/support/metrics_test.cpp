@@ -12,7 +12,6 @@ namespace cfpm::metrics {
 namespace {
 
 TEST(Metrics, ConcurrentCounterSumsExactly) {
-  if (!compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   reset_for_testing();
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
@@ -32,7 +31,6 @@ TEST(Metrics, ConcurrentCounterSumsExactly) {
 }
 
 TEST(Metrics, ConcurrentHistogramCountsExactly) {
-  if (!compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   reset_for_testing();
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 5000;
@@ -52,7 +50,6 @@ TEST(Metrics, ConcurrentHistogramCountsExactly) {
 }
 
 TEST(Metrics, SnapshotIsDeterministicAndSorted) {
-  if (!compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   const Counter b("test.order.b");
   const Counter a("test.order.a");
   a.add(1);
@@ -70,7 +67,6 @@ TEST(Metrics, SnapshotIsDeterministicAndSorted) {
 }
 
 TEST(Metrics, HistogramBucketBoundaries) {
-  if (!compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   reset_for_testing();
   const Histogram h("test.buckets");
   h.observe(0);  // bucket 0: the zero bucket
@@ -94,7 +90,6 @@ TEST(Metrics, HistogramBucketBoundaries) {
 }
 
 TEST(Metrics, GaugeKeepsLastWrite) {
-  if (!compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   reset_for_testing();
   const Gauge g("test.gauge");
   g.set(1.5);
@@ -111,7 +106,6 @@ TEST(Metrics, GaugeKeepsLastWrite) {
 }
 
 TEST(Metrics, ResetZeroesButKeepsRegistrations) {
-  if (!compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   const Counter c("test.reset");
   c.add(17);
   reset_for_testing();
@@ -141,23 +135,7 @@ TEST(Metrics, WriteJsonEmitsAllSections) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  if (compiled_in()) {
-    EXPECT_NE(json.find("\"test.json.counter\""), std::string::npos);
-  }
-}
-
-TEST(Metrics, CompiledOutRegistryIsInert) {
-  if (compiled_in()) GTEST_SKIP() << "registry compiled in";
-  const Counter c("test.noop");
-  c.add(42);
-  const Gauge g("test.noop.gauge");
-  g.set(1.0);
-  const Histogram h("test.noop.hist");
-  h.observe(9);
-  const Snapshot s = snapshot();
-  EXPECT_TRUE(s.counters.empty());
-  EXPECT_TRUE(s.gauges.empty());
-  EXPECT_TRUE(s.histograms.empty());
+  EXPECT_NE(json.find("\"test.json.counter\""), std::string::npos);
 }
 
 }  // namespace

@@ -56,11 +56,7 @@ TEST(ThreadPool, MultiLanePoolSpawnsCountMinusOneWorkers) {
     pool.run_indexed(100, [&](std::size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 99u * 100u / 2u);
   }
-#ifndef CFPM_NO_METRICS
   EXPECT_EQ(spawn_count(), before + 2);
-#else
-  EXPECT_EQ(spawn_count(), before);  // inert metric stubs stay at zero
-#endif
 }
 
 TEST(ThreadPool, InlinePathPropagatesExceptions) {
@@ -113,9 +109,7 @@ TEST(ThreadPool, SpawnFailureDegradesToFewerWorkers) {
   failpoint::disarm_all();
   EXPECT_EQ(pool.num_workers(), 2u);
   EXPECT_EQ(pool.num_threads(), 3u);
-  if (metrics::compiled_in()) {
-    EXPECT_EQ(spawn_failed_count(), failed_before + 1);
-  }
+  EXPECT_EQ(spawn_failed_count(), failed_before + 1);
 
   // The degraded pool still runs every index exactly once.
   std::atomic<std::size_t> sum{0};

@@ -6,8 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "support/metrics.hpp"
-
 namespace cfpm::trace {
 namespace {
 
@@ -18,7 +16,6 @@ std::string dump() {
 }
 
 TEST(Trace, DisabledByDefaultAndSpansAreFree) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   clear();
   ASSERT_FALSE(enabled());
   { CFPM_TRACE_SPAN("test.disabled"); }
@@ -26,7 +23,6 @@ TEST(Trace, DisabledByDefaultAndSpansAreFree) {
 }
 
 TEST(Trace, RecordsNestedSpansAsChromeEvents) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   clear();
   set_enabled(true);
   {
@@ -43,7 +39,6 @@ TEST(Trace, RecordsNestedSpansAsChromeEvents) {
 }
 
 TEST(Trace, SpansFromExitedThreadsSurvive) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   clear();
   set_enabled(true);
   std::thread([] { CFPM_TRACE_SPAN("test.worker"); }).join();
@@ -53,7 +48,6 @@ TEST(Trace, SpansFromExitedThreadsSurvive) {
 }
 
 TEST(Trace, ClearDiscardsEverything) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   set_enabled(true);
   { CFPM_TRACE_SPAN("test.cleared"); }
   set_enabled(false);
@@ -62,7 +56,6 @@ TEST(Trace, ClearDiscardsEverything) {
 }
 
 TEST(Trace, EnablementSampledAtConstruction) {
-  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
   clear();
   set_enabled(false);
   {
@@ -72,14 +65,6 @@ TEST(Trace, EnablementSampledAtConstruction) {
   set_enabled(false);
   EXPECT_EQ(dump().find("test.late"), std::string::npos);
   clear();
-}
-
-TEST(Trace, CompiledOutFacilityIsInert) {
-  if (metrics::compiled_in()) GTEST_SKIP() << "tracing compiled in";
-  set_enabled(true);
-  EXPECT_FALSE(enabled());
-  { CFPM_TRACE_SPAN("test.noop"); }
-  EXPECT_TRUE(dump().empty());
 }
 
 }  // namespace

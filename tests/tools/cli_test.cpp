@@ -271,13 +271,11 @@ TEST(Cli, MetricsJsonSnapshotWritten) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-#ifndef CFPM_NO_METRICS
   // Counters from several subsystems made it into the dump.
   EXPECT_NE(json.find("\"dd.node.alloc\""), std::string::npos);
   EXPECT_NE(json.find("\"eval.grid.run\""), std::string::npos);
   EXPECT_NE(json.find("\"power.trace.call\""), std::string::npos);
   EXPECT_NE(json.find("\"deadline.check.run\""), std::string::npos);
-#endif
   std::remove(path.c_str());
 }
 
@@ -291,12 +289,10 @@ TEST(Cli, TraceJsonHasChromeEvents) {
   std::array<char, 512> buf;
   while (std::fgets(buf.data(), buf.size(), f) != nullptr) json += buf.data();
   std::fclose(f);
-#ifndef CFPM_NO_METRICS
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"cli\""), std::string::npos);
   EXPECT_NE(json.find("\"power.build\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-#endif
   std::remove(path.c_str());
 }
 
@@ -457,6 +453,13 @@ TEST(Cli, SimdFlagIsGone) {
   EXPECT_NE(serve.output.find("unknown option: --build-threads"),
             std::string::npos)
       << serve.output;
+
+  // Degrading is the default; only --no-degrade changes it.
+  const auto degrade = run("build gen:c17 --degrade");
+  EXPECT_EQ(degrade.exit_code, 2);
+  EXPECT_NE(degrade.output.find("unknown option: --degrade"),
+            std::string::npos)
+      << degrade.output;
 }
 
 // ---------------------------------------------------------------------------
