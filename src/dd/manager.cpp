@@ -136,8 +136,7 @@ void DdManager::deref_edge(Edge e) noexcept {
 // ---------------------------------------------------------------------------
 
 std::uint32_t DdManager::allocate_node() {
-  static const metrics::Counter c_alloc("dd.node.alloc");
-  c_alloc.add();
+  ++counts_.node_allocs;
   // The deadline is checked here — the one point every growing operation
   // must pass through — except during in-place reordering, where an unwound
   // exception would leave a level half-relabeled (sifting checks between
@@ -293,6 +292,7 @@ void DdManager::maybe_resize_table(std::uint32_t var) {
 // ---------------------------------------------------------------------------
 
 void DdManager::maybe_gc() {
+  counts_.publish();
   const std::size_t threshold = std::max(
       config_.gc_min_dead,
       static_cast<std::size_t>(static_cast<double>(live_) * config_.gc_dead_fraction));
@@ -311,7 +311,29 @@ std::size_t DdManager::unique_table_nodes() const noexcept {
   return nodes;
 }
 
+void DdManager::OpCounts::publish() noexcept {
+  // Each counter registers on its first non-zero delta, so a run that never
+  // looks up the cache reports no dd.cache.* entries at all.
+  if (node_allocs != published_allocs) {
+    static const metrics::Counter c_alloc("dd.node.alloc");
+    c_alloc.add(node_allocs - published_allocs);
+    published_allocs = node_allocs;
+  }
+  if (cache_hits != published_hits) {
+    static const metrics::Counter c_hit("dd.cache.hit");
+    c_hit.add(cache_hits - published_hits);
+    published_hits = cache_hits;
+  }
+  const std::uint64_t misses = cache_lookups - cache_hits;
+  if (misses != published_misses) {
+    static const metrics::Counter c_miss("dd.cache.miss");
+    c_miss.add(misses - published_misses);
+    published_misses = misses;
+  }
+}
+
 std::size_t DdManager::collect_garbage() {
+  counts_.publish();
   if (dead_ == 0) return 0;
   static const metrics::Counter c_gc("dd.gc.run");
   c_gc.add();
@@ -361,21 +383,17 @@ std::size_t DdManager::collect_garbage() {
 
 Edge DdManager::cache_lookup(std::uint32_t op, Edge f, Edge g,
                              Edge h) noexcept {
-  ++cache_lookups_;
+  ++counts_.cache_lookups;
   const std::uint64_t lo = (static_cast<std::uint64_t>(f) << 32) | g;
   const std::uint64_t hi = (static_cast<std::uint64_t>(h) << 32) | op;
   const std::size_t slot =
       static_cast<std::size_t>(mix(lo * 0x9e3779b97f4a7c15ULL + hi)) &
       (cache_.size() - 1);
   const CacheEntry& e = cache_[slot];
-  static const metrics::Counter c_hit("dd.cache.hit");
-  static const metrics::Counter c_miss("dd.cache.miss");
   if (e.f == f && e.g == g && e.h == h && e.op == op) {
-    ++cache_hits_;
-    c_hit.add();
+    ++counts_.cache_hits;
     return e.result;
   }
-  c_miss.add();
   return kNilEdge;
 }
 

@@ -112,16 +112,22 @@ class DdManager {
   std::size_t live_nodes() const noexcept { return live_; }
   std::size_t dead_nodes() const noexcept { return dead_; }
   std::size_t allocated_nodes() const noexcept { return allocated_; }
-  std::uint64_t cache_hits() const noexcept { return cache_hits_; }
-  std::uint64_t cache_lookups() const noexcept { return cache_lookups_; }
+  std::uint64_t cache_hits() const noexcept { return counts_.cache_hits; }
+  std::uint64_t cache_lookups() const noexcept {
+    return counts_.cache_lookups;
+  }
+  /// Node records handed out over the manager's life, recycled ones
+  /// included (what it adds to dd.node.alloc).
+  std::uint64_t node_allocs() const noexcept { return counts_.node_allocs; }
   std::uint64_t gc_runs() const noexcept { return gc_runs_; }
 
   /// Fraction of computed-cache lookups (apply and ite share one cache)
   /// answered from the cache; 0 when no lookup has happened yet.
   double cache_hit_rate() const noexcept {
-    return cache_lookups_ == 0 ? 0.0
-                               : static_cast<double>(cache_hits_) /
-                                     static_cast<double>(cache_lookups_);
+    return counts_.cache_lookups == 0
+               ? 0.0
+               : static_cast<double>(counts_.cache_hits) /
+                     static_cast<double>(counts_.cache_lookups);
   }
   /// Buckets across all unique tables (per-variable tables + terminals).
   std::size_t unique_table_buckets() const noexcept;
@@ -136,7 +142,15 @@ class DdManager {
   }
 
   /// Forces a garbage collection; returns the number of nodes reclaimed.
+  /// Like every safe point, it first publishes the counts above.
   std::size_t collect_garbage();
+
+  /// Adds the part of node_allocs(), cache_hits() and the cache misses not
+  /// yet published to dd.node.alloc / dd.cache.hit / dd.cache.miss. The
+  /// safe points (maybe_gc, collect_garbage) and the destructor do so, so
+  /// the inner loops only bump plain members; call it to make a snapshot
+  /// taken while this manager lives include its latest work.
+  void publish_counts() noexcept { counts_.publish(); }
 
   // ----- dynamic reordering (reorder.cpp) ----------------------------------
 
@@ -266,9 +280,23 @@ class DdManager {
 
   std::vector<CacheEntry> cache_;
   bool cache_dirty_ = false;  // some slot written since the last wipe
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_lookups_ = 0;
   std::uint64_t gc_runs_ = 0;
+
+  /// Per-operation counts, plain integers bumped in allocate_node and
+  /// cache_lookup, plus the part of each already added to the registry.
+  struct OpCounts {
+    std::uint64_t node_allocs = 0;
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_lookups = 0;
+    std::uint64_t published_allocs = 0;
+    std::uint64_t published_hits = 0;
+    std::uint64_t published_misses = 0;
+    void publish() noexcept;
+    /// A member's destructor runs even when the manager's constructor
+    /// throws, so the allocations made there are published as well.
+    ~OpCounts() { publish(); }
+  };
+  OpCounts counts_;
 
   Edge one_ = kNilEdge;       // plain edge to the 1.0 terminal (BDD true)
   Edge add_zero_ = kNilEdge;  // plain edge to the 0.0 terminal (ADD zero)

@@ -212,6 +212,9 @@ AddPowerModel AddPowerModel::constant_fallback(const Netlist& n,
   // must not be able to stop the surrender rung.
   auto mgr = std::make_shared<dd::DdManager>(2 * n.num_inputs());
   dd::Add constant = mgr->constant(value);
+  // The surrender rung passes no safe point: publish its allocations so the
+  // degraded build's spent line counts them.
+  mgr->publish_counts();
   return AddPowerModel(std::move(mgr), std::move(constant), n.num_inputs(),
                        options.order, options.mode, n.name());
 }

@@ -262,7 +262,7 @@ bool Server::handle_frame(int fd, const wire::Frame& frame) {
     }
     case wire::MsgType::kPing: {
       wire::write_frame(fd, wire::MsgType::kPong,
-                        "version " + std::to_string(service::kApiVersion) +
+                        "version " + std::to_string(wire::kProtocolVersion) +
                             "\nmodels " + std::to_string(registry_.size()) +
                             "\n");
       return true;

@@ -181,11 +181,6 @@ BuildReply build(const netlist::Netlist& n, power::ModelKind kind,
 }
 
 BuildReply build(const BuildRequest& request) {
-  if (request.api_version != kApiVersion) {
-    throw UsageError("unsupported api version " +
-                     std::to_string(request.api_version) + " (expected " +
-                     std::to_string(kApiVersion) + ")");
-  }
   BuildReply reply = build(request.netlist, request.options.kind,
                            to_model_options(request.options));
   reply.id = model_id(request.netlist, request.options);
@@ -217,11 +212,6 @@ sim::InputSequence generate_workload(const stats::InputStatistics& statistics,
 
 EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                    ThreadPool* pool) {
-  if (request.api_version != kApiVersion) {
-    throw UsageError("unsupported api version " +
-                     std::to_string(request.api_version) + " (expected " +
-                     std::to_string(kApiVersion) + ")");
-  }
   return evaluate_trace(model,
                         generate_workload(request.statistics,
                                           model.num_inputs(), request.vectors,
@@ -256,13 +246,6 @@ cfpm::chip::ChipBuildOptions to_chip_build_options(const ChipRequest& r) {
 }
 
 namespace {
-
-void check_chip_version(std::uint32_t version) {
-  if (version != kApiVersion) {
-    throw UsageError("unsupported api version " + std::to_string(version) +
-                     " (expected " + std::to_string(kApiVersion) + ")");
-  }
-}
 
 /// A malformed spec string is a request-shape violation: rewrap the chip
 /// layer's cfpm::Error as the facade's typed kUsage error (exit code 2).
@@ -330,7 +313,6 @@ ChipReply finish_chip_reply(const cfpm::chip::Chip& c,
 ChipReply evaluate_chip(const ChipRequest& request,
                         const cfpm::chip::ModelSource& source,
                         ThreadPool* pool) {
-  check_chip_version(request.api_version);
   const cfpm::chip::ChipSpec spec = parse_chip_spec(request.spec);
   // Generated before the build, so a bad workload costs no construction.
   const sim::InputSequence trace = generate_workload(
@@ -348,7 +330,6 @@ ChipReply evaluate_chip(const ChipRequest& request, ThreadPool* pool) {
 ChipReply evaluate_chip_trace(const ChipRequest& request,
                               const sim::InputSequence& trace,
                               ThreadPool* pool) {
-  check_chip_version(request.api_version);
   const cfpm::chip::ChipSpec spec = parse_chip_spec(request.spec);
   // Same contract as generate_workload: a trace needs two vectors to make
   // its first transition, and is rejected before any library build.

@@ -5,8 +5,8 @@
 // called power::make_model / AddPowerModel::build with its own option
 // plumbing, the experiment harness looped estimate_trace itself, and the
 // fuzzer sampled AddModelOptions directly. The service facade makes one
-// typed entry point out of that — versioned BuildRequest/EvalRequest
-// structs in, Reply structs or typed error payloads out — shared verbatim
+// typed entry point out of that — BuildRequest/EvalRequest structs in,
+// Reply structs or typed error payloads out — shared verbatim
 // by the one-shot CLI, the `cfpm serve` daemon (src/serve/server), and the
 // differential fuzzer. Sharing the entry point is what makes the daemon's
 // "bit-identical to the CLI" guarantee checkable rather than aspirational:
@@ -41,11 +41,6 @@
 
 namespace cfpm::service {
 
-/// Version of the request/response structs (and of the wire protocol that
-/// ships them). Requests carrying any other version are rejected with a
-/// typed kUsage error instead of being misinterpreted.
-inline constexpr std::uint32_t kApiVersion = 1;
-
 /// The fixed seed of every (sp, st) workload the CLI generates; requests
 /// default to it.
 inline constexpr std::uint64_t kWorkloadSeed = 0xcf9e;
@@ -58,7 +53,7 @@ inline constexpr std::uint64_t kWorkloadSeed = 0xcf9e;
 enum class StatusCode : std::uint32_t {
   kOk = 0,
   kError = 1,     ///< typed runtime failure (parse, io, resource, ...)
-  kUsage = 2,     ///< malformed request (bad version, bad field)
+  kUsage = 2,     ///< malformed request (bad field)
   kDegraded = 3,  ///< build completed via the degradation ladder
   kOom = 4,       ///< out of memory
   kInternal = 5,  ///< unexpected std::exception
@@ -86,8 +81,8 @@ struct ErrorPayload {
   std::string message;
 };
 
-/// Request-shape violations detected by the facade itself (bad api_version,
-/// infeasible statistics, unknown enum value). Maps to exit code 2.
+/// Request-shape violations detected by the facade itself (too few
+/// vectors, malformed chip spec, unknown enum value). Maps to exit code 2.
 class UsageError : public Error {
  public:
   explicit UsageError(const std::string& what) : Error(what) {}
@@ -155,7 +150,6 @@ struct BuildOptions {
 };
 
 struct BuildRequest {
-  std::uint32_t api_version = kApiVersion;
   netlist::Netlist netlist;
   BuildOptions options;
 };
@@ -176,7 +170,6 @@ struct BuildReply {
 /// `seed` and run one batched estimate_trace pass — the identical recipe
 /// the one-shot CLI uses, so daemon and CLI results are bit-identical.
 struct EvalRequest {
-  std::uint32_t api_version = kApiVersion;
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;
   std::uint64_t seed = kWorkloadSeed;
@@ -196,7 +189,6 @@ struct EvalReply {
 /// cache hits. Workload is the same seeded Markov recipe as EvalRequest,
 /// generated at the chip's full bus width.
 struct ChipRequest {
-  std::uint32_t api_version = kApiVersion;
   std::string spec = "2x3x12";  ///< "CxBxM" chip topology
   std::size_t max_nodes = 4000;  ///< per-macro node budget (0 = exact)
   bool degrade = true;           ///< §9 ladder per macro
@@ -259,9 +251,9 @@ power::ModelOptions to_model_options(
 /// text of the netlist + the model-shaping option fingerprint).
 ModelId model_id(const netlist::Netlist& n, const BuildOptions& options);
 
-/// Builds the requested model. Validates api_version (typed kUsage error),
-/// sets a deadline when the request carries one, and reports a
-/// ladder-degraded build as status kDegraded. Throws typed errors.
+/// Builds the requested model. Sets a deadline when the request carries
+/// one, and reports a ladder-degraded build as status kDegraded. Throws
+/// typed errors.
 BuildReply build(const BuildRequest& request);
 
 /// Rich in-process form for callers that already hold ModelOptions (the
@@ -277,9 +269,9 @@ sim::InputSequence generate_workload(const stats::InputStatistics& statistics,
                                      std::size_t width, std::size_t vectors,
                                      std::uint64_t seed = kWorkloadSeed);
 
-/// Evaluates a (sp, st) workload on a model. Validates api_version and
-/// workload feasibility (typed errors); sharding over `pool` never changes
-/// the bits (PowerModel::estimate_trace contract).
+/// Evaluates a (sp, st) workload on a model. Validates workload
+/// feasibility (typed errors); sharding over `pool` never changes the bits
+/// (PowerModel::estimate_trace contract).
 EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                    ThreadPool* pool = nullptr);
 

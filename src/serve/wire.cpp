@@ -225,8 +225,7 @@ std::string encode_build_request(const service::BuildRequest& req) {
   const std::string bench = netlist_text.str();
   const service::BuildOptions& o = req.options;
   std::ostringstream os;
-  os << "version " << req.api_version << "\n"
-     << "circuit " << req.netlist.name() << "\n"
+  os << "circuit " << req.netlist.name() << "\n"
      << "kind " << static_cast<unsigned>(o.kind) << "\n"
      << "max-nodes " << o.max_nodes << "\n"
      << "order " << static_cast<unsigned>(o.order) << "\n"
@@ -246,7 +245,6 @@ std::string encode_build_request(const service::BuildRequest& req) {
 service::BuildRequest decode_build_request(std::string_view payload) {
   Reader r(payload);
   service::BuildRequest req;
-  req.api_version = r.number<std::uint32_t>("version");
   const std::string circuit(r.field("circuit"));
   service::BuildOptions& o = req.options;
   const auto kind = r.number<unsigned>("kind");
@@ -321,8 +319,7 @@ service::BuildReply decode_build_reply(std::string_view payload) {
 
 std::string encode_eval_query(const EvalQuery& query) {
   std::ostringstream os;
-  os << "version " << query.request.api_version << "\n"
-     << "id " << query.id.to_hex() << "\n"
+  os << "id " << query.id.to_hex() << "\n"
      << "sp " << format_double(query.request.statistics.sp) << "\n"
      << "st " << format_double(query.request.statistics.st) << "\n"
      << "vectors " << query.request.vectors << "\n"
@@ -333,7 +330,6 @@ std::string encode_eval_query(const EvalQuery& query) {
 EvalQuery decode_eval_query(std::string_view payload) {
   Reader r(payload);
   EvalQuery q;
-  q.request.api_version = r.number<std::uint32_t>("version");
   const std::string_view hex = r.field("id");
   const auto id = service::ModelId::from_hex(hex);
   if (!id) throw ParseError("wire: bad model id: '" + std::string(hex) + "'");
@@ -382,8 +378,7 @@ std::string encode_trace_query(const TraceQuery& query) {
     }
   }
   std::ostringstream os;
-  os << "version " << service::kApiVersion << "\n"
-     << "id " << query.id.to_hex() << "\n"
+  os << "id " << query.id.to_hex() << "\n"
      << "inputs " << t.num_inputs() << "\n"
      << "length " << t.length() << "\n"
      << "bits " << bits.size() << "\n"
@@ -393,11 +388,6 @@ std::string encode_trace_query(const TraceQuery& query) {
 
 TraceQuery decode_trace_query(std::string_view payload) {
   Reader r(payload);
-  const auto version = r.number<std::uint32_t>("version");
-  if (version != service::kApiVersion) {
-    throw service::UsageError("wire: unsupported api version " +
-                              std::to_string(version));
-  }
   TraceQuery q;
   const std::string_view hex = r.field("id");
   const auto id = service::ModelId::from_hex(hex);
@@ -407,6 +397,12 @@ TraceQuery decode_trace_query(std::string_view payload) {
   const std::size_t length = r.number<std::size_t>("length");
   if (inputs == 0) throw ParseError("wire: trace with zero inputs");
   const std::size_t declared = r.number<std::size_t>("bits");
+  // Bound the dimensions before multiplying: a forged pair whose product
+  // wraps would otherwise match a tiny `bits` count and size the trace's
+  // storage to a wrapped, too-small value.
+  if (length != 0 && inputs > kMaxPayload / length) {
+    throw ParseError("wire: trace dimensions exceed the payload limit");
+  }
   if (declared != inputs * length) {
     throw ParseError("wire: trace bit count mismatch");
   }
@@ -536,8 +532,7 @@ power::BuildOutcome token_outcome(std::string_view v, std::string_view key) {
 
 std::string encode_chip_request(const service::ChipRequest& req) {
   std::ostringstream os;
-  os << "version " << req.api_version << "\n"
-     << "spec " << req.spec << "\n"
+  os << "spec " << req.spec << "\n"
      << "max-nodes " << req.max_nodes << "\n"
      << "degrade " << (req.degrade ? 1 : 0) << "\n"
      << "deadline-ms " << (req.deadline_ms ? std::to_string(*req.deadline_ms)
@@ -553,7 +548,6 @@ std::string encode_chip_request(const service::ChipRequest& req) {
 service::ChipRequest decode_chip_request(std::string_view payload) {
   Reader r(payload);
   service::ChipRequest req;
-  req.api_version = r.number<std::uint32_t>("version");
   req.spec = std::string(r.field("spec"));
   req.max_nodes = r.number<std::size_t>("max-nodes");
   req.degrade = parse_flag(r.field("degrade"), "degrade");

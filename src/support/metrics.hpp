@@ -1,23 +1,24 @@
 // Process-wide metrics registry: monotonic counters, gauges, and log2-bucket
-// histograms, designed for instrumentation of hot paths.
+// histograms.
 //
 // Design constraints (see DESIGN.md §10):
-//  * No allocation on the hot path. Registration (constructing a Counter /
-//    Gauge / Histogram handle) interns the name once under a mutex;
-//    increments touch only a per-thread shard slot.
-//  * Thread-safe by sharding: every thread owns a shard of plain relaxed
-//    atomics; snapshot() merges live shards plus the folded totals of
-//    exited threads. Counts are therefore exact (nothing is sampled or
-//    dropped), only the instant of visibility is relaxed.
-//  * Metering is per call, not per inner-loop step; the three per-operation
-//    DD-core counters named in DESIGN.md §10 are the known exceptions.
+//  * No allocation on the recording path. Registration (constructing a
+//    Counter / Gauge / Histogram handle) interns the name once under a
+//    mutex; recording is a relaxed fetch-add on the metric's one
+//    process-wide atomic cell.
+//  * Counts are exact (nothing is sampled or dropped); only the instant of
+//    visibility is relaxed.
+//  * Metering is per call, never per inner-loop step. Code with a
+//    per-operation count keeps it in a plain member and publishes the
+//    unpublished part at its own safe points (the DD manager does so for
+//    dd.node.alloc / dd.cache.hit / dd.cache.miss).
 //
-// Metric names follow `subsystem.noun.verb` (e.g. "dd.cache.hit",
+// Metric names follow `subsystem.noun.verb` (e.g. "dd.gc.run",
 // "power.build.rung") and must be string literals or otherwise outlive the
 // process; handles are cheap and typically function-local statics:
 //
-//   static const metrics::Counter c_hit("dd.cache.hit");
-//   c_hit.add();
+//   static const metrics::Counter c_gc("dd.gc.run");
+//   c_gc.add();
 #pragma once
 
 #include <array>
@@ -112,8 +113,7 @@ class ScopedTimer {
   std::uint64_t start_ns_;
 };
 
-/// Merges every shard (live threads and folded exited ones) into a sorted,
-/// deterministic snapshot of all metrics registered so far.
+/// A sorted, deterministic snapshot of all metrics registered so far.
 Snapshot snapshot();
 
 /// Zeroes every counter, gauge and histogram (registrations are kept).

@@ -88,7 +88,7 @@ int usage() {
       "  cfpm accuracy <circuit> [-m MAX] [--vectors N] [--deadline-ms N]\n"
       "  cfpm trace <circuit> -o out.vcd [--sp P] [--st P] [--vectors N]\n"
       "  cfpm rtl <design.rtl> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
-      "  cfpm chip --spec CxBxM [--trace FILE] [--shards N] [--sp P] [--st P]\n"
+      "  cfpm chip --spec CxBxM [--trace FILE] [--threads N] [--sp P] [--st P]\n"
       "            [--vectors N] [-m MAX] [--deadline-ms N] [--no-degrade]\n"
       "            [--vdd V]\n"
       "  cfpm sensitivity <model.cfpm>\n"
@@ -110,13 +110,13 @@ int usage() {
       "one of c17, alu2, alu4, cmb, cm150, cm85, comp, decod, k2, mux,\n"
       "parity, pcle, x1, x2.\n"
       "\n"
-      "--threads N shards trace evaluation over a pool of N threads\n"
-      "(0 = all hardware threads); results are bit-identical for any N.\n"
+      "--threads N shards trace evaluation (estimate, chip, serve) over a\n"
+      "pool of N threads (0 = all hardware threads); results are\n"
+      "bit-identical for any N.\n"
       "chip builds a composed chip: --spec CxBxM instantiates C blocks of B\n"
       "macros from a generated library over M bus bits per block; sibling\n"
-      "macros share bus bits. --shards N shards the streaming evaluator\n"
-      "(0 = all hardware threads; bit-identical for any N); --trace FILE\n"
-      "evaluates a text bit-matrix trace instead of the seeded workload.\n"
+      "macros share bus bits. --trace FILE evaluates a text bit-matrix\n"
+      "trace instead of the seeded workload.\n"
       "--compiled prints compiled-evaluator diagnostics and throughput.\n"
       "--deadline-ms N bounds model construction by wall clock; on expiry\n"
       "the build degrades (harder approximation, then a constant bound)\n"
@@ -179,7 +179,6 @@ struct Args {
 
   // chip subcommand
   std::string chip_spec = "2x3x12";  // CxBxM topology
-  std::size_t shards = 1;            // eval pool lanes; 0 = hardware
   std::string chip_trace;            // explicit trace file (text bit matrix)
   std::optional<std::size_t> deadline_ms;  // wall-clock build budget
   bool degrade = true;
@@ -301,8 +300,6 @@ std::optional<Args> parse(int argc, char** argv) {
       a.max_nodes_explicit = ok;
     } else if (flag == "--spec") {
       ok = text(a.chip_spec);
-    } else if (flag == "--shards") {
-      ok = number(a.shards);
     } else if (flag == "--trace") {
       ok = text(a.chip_trace);
     } else if (flag == "--bound") {
@@ -442,8 +439,7 @@ int cmd_build(const Args& a) {
   // Through the service facade: the same BuildRequest path the daemon
   // executes, so the printed content id addresses the identical model in a
   // daemon's registry.
-  const service::BuildReply reply =
-      service::build({service::kApiVersion, n, a.service_options()});
+  const service::BuildReply reply = service::build({n, a.service_options()});
   std::cout << "model   : " << reply.model_nodes << " nodes ("
             << (a.bound ? "upper bound" : "average") << " mode, MAX "
             << a.max_nodes << ")\n";
@@ -483,7 +479,7 @@ int cmd_estimate(const Args& a) {
   service::EvalRequest request;
   request.statistics = {a.sp, a.st};
   request.vectors = a.vectors;
-  cfpm::ThreadPool pool(a.threads == 0 ? 0 : a.threads);
+  cfpm::ThreadPool pool(a.threads);
   cfpm::Timer timer;
   const service::EvalReply est = service::evaluate(model, request, &pool);
   const double eval_seconds = timer.seconds();
@@ -678,7 +674,7 @@ const char* outcome_name(power::BuildOutcome outcome) {
 /// Prints a chip reply: library table, per-block and per-instance
 /// breakdowns, composed bound vs sum-of-worst-cases tightness, and a
 /// machine-diffable `exact` line (shortest-round-trip doubles — the
-/// chip-smoke CI job diffs whole outputs across --shards, and the exact
+/// chip-smoke CI job diffs whole outputs across --threads, and the exact
 /// line across the one-shot/daemon boundary). Deliberately prints no
 /// wall-clock numbers so outputs are byte-stable. Returns the exit code.
 int print_chip_reply(const Args& a, const service::ChipReply& r,
@@ -753,7 +749,7 @@ int print_chip_reply(const Args& a, const service::ChipReply& r,
 int cmd_chip(const Args& a) {
   if (!a.positional.empty()) return usage();
   const service::ChipRequest request = a.chip_request();
-  cfpm::ThreadPool pool(a.shards == 0 ? 0 : a.shards);
+  cfpm::ThreadPool pool(a.threads);
   if (!a.chip_trace.empty()) {
     // Explicit trace: width is validated against the spec by the facade.
     const sim::InputSequence trace =
@@ -898,8 +894,7 @@ int cmd_query(const Args& a) {
   if (verb == "build") {
     if (a.positional.size() != 2) return usage();
     const netlist::Netlist n = load_circuit(a.positional[1]);
-    const service::BuildReply reply =
-        client.build({service::kApiVersion, n, a.service_options()});
+    const service::BuildReply reply = client.build({n, a.service_options()});
     std::cout << "id      : " << reply.id.to_hex() << "\n"
               << "model   : " << reply.model_nodes << " nodes\n"
               << "cache   : " << (reply.cache_hit ? "hit" : "miss") << "\n";

@@ -411,11 +411,7 @@ TEST(ChipService, ShardingNeverChangesReplyBits) {
   }
 }
 
-TEST(ChipService, RejectsBadVersionSpecAndWorkload) {
-  service::ChipRequest bad_version = demo_request();
-  bad_version.api_version = 7;
-  EXPECT_THROW(service::evaluate_chip(bad_version), service::UsageError);
-
+TEST(ChipService, RejectsBadSpecAndWorkload) {
   service::ChipRequest bad_spec = demo_request();
   bad_spec.spec = "not-a-spec";
   EXPECT_THROW(service::evaluate_chip(bad_spec), service::UsageError);

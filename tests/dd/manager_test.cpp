@@ -166,12 +166,11 @@ TEST(DdManager, DeadlineNeverFiresInsideALevelSwap) {
   // Swaps allocate well over a check interval's worth of nodes with the
   // deadline long expired: none of those allocations may throw, because a
   // half-relabeled level cannot be unwound.
-  const std::uint64_t before = metrics::snapshot().counter("dd.node.alloc");
+  const std::uint64_t before = mgr.node_allocs();
   for (std::uint32_t i = 0; i < 400; ++i) {
     mgr.swap_adjacent_levels(i % (kVars - 1));
   }
-  EXPECT_GE(metrics::snapshot().counter("dd.node.alloc") - before,
-            kDeadlineCheckInterval);
+  EXPECT_GE(mgr.node_allocs() - before, kDeadlineCheckInterval);
 
   // Sifting checks between whole swaps, so it stops at once and leaves
   // every function intact.
@@ -236,6 +235,39 @@ TEST(DdManager, CacheStatisticsAdvance) {
   for (std::uint32_t v = 1; v < 6; ++v) g = g & mgr.bdd_var(v);
   EXPECT_EQ(f, g);
   EXPECT_GT(mgr.cache_lookups(), 0u);
+}
+
+TEST(DdManager, PublishesExactCountsByDestruction) {
+  const metrics::Snapshot before = metrics::snapshot();
+  std::uint64_t allocs = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  {
+    DdManager mgr(6);
+    auto weighted_sum = [&mgr] {
+      Add f = mgr.constant(0.0);
+      for (std::uint32_t v = 0; v < 6; ++v) {
+        f = f + Add(mgr.bdd_var(v)).times(static_cast<double>(v + 1));
+      }
+      return f;
+    };
+    const Add f = weighted_sum();
+    const Add g = weighted_sum();  // same applies again: cache hits
+    EXPECT_EQ(f, g);
+    allocs = mgr.node_allocs();
+    hits = mgr.cache_hits();
+    misses = mgr.cache_lookups() - hits;
+  }
+  EXPECT_GT(allocs, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  const metrics::Snapshot after = metrics::snapshot();
+  EXPECT_EQ(after.counter("dd.node.alloc") - before.counter("dd.node.alloc"),
+            allocs);
+  EXPECT_EQ(after.counter("dd.cache.hit") - before.counter("dd.cache.hit"),
+            hits);
+  EXPECT_EQ(after.counter("dd.cache.miss") - before.counter("dd.cache.miss"),
+            misses);
 }
 
 }  // namespace

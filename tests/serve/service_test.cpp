@@ -120,17 +120,6 @@ TEST(ServiceModelId, ContentAddressingSeparatesShapingKnobs) {
             "5bdd98c5dbd738055ea7637d96950c20");
 }
 
-TEST(ServiceBuild, RejectsWrongApiVersion) {
-  BuildRequest request;
-  request.api_version = kApiVersion + 1;
-  request.netlist = netlist::gen::c17();
-  try {
-    (void)build(request);
-    FAIL() << "build accepted a wrong api_version";
-  } catch (const UsageError&) {
-  }
-}
-
 TEST(ServiceBuild, BuildsAndEvaluates) {
   BuildRequest request;
   request.netlist = netlist::gen::c17();

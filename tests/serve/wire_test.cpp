@@ -87,7 +87,6 @@ TEST(Wire, BuildRequestRoundTripsNetlistAndOptions) {
 
   const service::BuildRequest back =
       decode_build_request(encode_build_request(request));
-  EXPECT_EQ(back.api_version, request.api_version);
   EXPECT_EQ(back.options.kind, request.options.kind);
   EXPECT_EQ(back.options.max_nodes, request.options.max_nodes);
   EXPECT_EQ(back.options.order, request.options.order);
@@ -174,6 +173,17 @@ TEST(Wire, TraceQueryRoundTripsEveryBit) {
   }
 }
 
+TEST(Wire, TraceQueryWithWrappingDimensionsIsRejected) {
+  // 2^40 inputs x 2^36 steps wraps to 0 in 64 bits, matching `bits 0`; the
+  // dimensions must be refused before any storage is sized from them.
+  const std::string payload = "id " + std::string(32, '0') +
+                              "\ninputs 1099511627776\n"
+                              "length 68719476736\n"
+                              "bits 0\n"
+                              "1";
+  EXPECT_THROW(decode_trace_query(payload), ParseError);
+}
+
 TEST(Wire, StatsAndErrorRoundTrip) {
   StatsReply stats;
   stats.models = 2;  // must equal model_lines.size(): the decoder reads
@@ -211,7 +221,6 @@ TEST(Wire, ChipRequestRoundTripsEveryField) {
 
   const service::ChipRequest back =
       decode_chip_request(encode_chip_request(request));
-  EXPECT_EQ(back.api_version, request.api_version);
   EXPECT_EQ(back.spec, request.spec);
   EXPECT_EQ(back.max_nodes, request.max_nodes);
   EXPECT_EQ(back.degrade, request.degrade);
@@ -290,10 +299,10 @@ TEST(Wire, MalformedPayloadsThrowParseError) {
   EXPECT_THROW(decode_build_request("nonsense"), ParseError);
   EXPECT_THROW(decode_eval_query(""), ParseError);
   EXPECT_THROW(decode_eval_reply("status x\n"), ParseError);
-  EXPECT_THROW(decode_trace_query("version 1\nid zz\n"), ParseError);
+  EXPECT_THROW(decode_trace_query("id zz\n"), ParseError);
   EXPECT_THROW(decode_error("code 1\n"), ParseError);
   EXPECT_THROW(decode_chip_request("nonsense"), ParseError);
-  EXPECT_THROW(decode_chip_request("version 1\nspec \n"), ParseError);
+  EXPECT_THROW(decode_chip_request("spec \n"), ParseError);
   EXPECT_THROW(decode_chip_reply(""), ParseError);
   // Out-of-range enum values are rejected, not cast blindly.
   service::ChipReply reply;
@@ -308,7 +317,8 @@ TEST(Wire, MalformedPayloadsThrowParseError) {
 
 TEST(Wire, RetiredErrorKindIsRejected) {
   // Kind 6 carried a cancellation error that no longer exists; its
-  // neighbours keep their codes, so the protocol version is unchanged.
+  // neighbours keep their codes, so retiring it did not bump the protocol
+  // version (version 3 is the payloads dropping their `version` line).
   EXPECT_THROW(decode_error("code 1\nkind 6\nmessage 1\nx"), ParseError);
   EXPECT_EQ(decode_error("code 1\nkind 5\nmessage 1\nx").kind,
             service::ErrorKind::kDeadline);
@@ -317,7 +327,7 @@ TEST(Wire, RetiredErrorKindIsRejected) {
   EXPECT_EQ(decode_error("code 5\nkind 8\nmessage 1\nx").kind,
             service::ErrorKind::kInternal);
   EXPECT_THROW(decode_error("code 1\nkind 9\nmessage 1\nx"), ParseError);
-  EXPECT_EQ(kProtocolVersion, 2);
+  EXPECT_EQ(kProtocolVersion, 3);
 }
 
 TEST(Wire, WriteToClosedSocketPeerThrowsInsteadOfRaisingSigpipe) {

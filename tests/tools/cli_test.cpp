@@ -421,7 +421,7 @@ TEST(Cli, ChipAndRtlPrintThePinnedExactLines) {
       {"chip --spec 4x6x16 --vectors 2000",
        "exact   : total=2153687.6875 average=1077.3825350175086 "
        "peak=1609.875 bound-peak=1830 worst-sum=3272"},
-      {"chip --spec 2x3x12 --vectors 3000 --sp 0.3 --st 0.4 --shards 3",
+      {"chip --spec 2x3x12 --vectors 3000 --sp 0.3 --st 0.4 --threads 3",
        "exact   : total=468541 average=156.2324108036012 peak=350 "
        "bound-peak=350 worst-sum=588"},
   };
@@ -460,6 +460,12 @@ TEST(Cli, SimdFlagIsGone) {
   EXPECT_NE(degrade.output.find("unknown option: --degrade"),
             std::string::npos)
       << degrade.output;
+
+  // `chip` sizes its evaluation pool with --threads, like every command.
+  const auto shards = run("chip --spec 2x3x12 --shards 2");
+  EXPECT_EQ(shards.exit_code, 2);
+  EXPECT_NE(shards.output.find("unknown option: --shards"), std::string::npos)
+      << shards.output;
 }
 
 // ---------------------------------------------------------------------------
