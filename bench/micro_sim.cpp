@@ -1,4 +1,5 @@
-// Micro-benchmarks of the bit-parallel zero-delay simulator.
+// Micro-benchmarks of the bit-parallel zero-delay simulator and of the
+// Markov stimulus generator that feeds it.
 #include <benchmark/benchmark.h>
 
 #include "netlist/generators.hpp"
@@ -60,6 +61,25 @@ void BM_ScalarVsParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(seq.num_transitions()));
 }
 BENCHMARK(BM_ScalarVsParallel);
+
+void BM_GenerateMarkov(benchmark::State& state, double sp, double st) {
+  // 16 inputs x 16384 vectors per call. The per_bit counter is the time per
+  // generated bit (one Xoshiro draw each), printed in ns.
+  constexpr std::size_t kInputs = 16;
+  constexpr std::size_t kLength = 16384;
+  stats::MarkovSequenceGenerator gen({sp, st}, 1);
+  for (auto _ : state) {
+    const sim::InputSequence seq = gen.generate(kInputs, kLength);
+    benchmark::DoNotOptimize(seq.word(0, 0));
+  }
+  state.counters["per_bit"] = benchmark::Counter(
+      static_cast<double>(kInputs * kLength),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_GenerateMarkov, sp0.5_st0.05, 0.5, 0.05);
+BENCHMARK_CAPTURE(BM_GenerateMarkov, sp0.5_st0.5, 0.5, 0.5);
+BENCHMARK_CAPTURE(BM_GenerateMarkov, sp0.35_st0.6, 0.35, 0.6);
 
 }  // namespace
 

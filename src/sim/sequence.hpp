@@ -49,6 +49,15 @@ class InputSequence {
     return bits_[input * words_per_input_ + k];
   }
 
+  /// Stores word `k` of input `i`'s stream whole. The bits past length()
+  /// must be zero: window64() and the statistics rely on the padding.
+  void set_word(std::size_t input, std::size_t k, std::uint64_t w) {
+    CFPM_ASSERT(input < num_inputs_ && k < words_per_input_);
+    CFPM_ASSERT(k + 1 < words_per_input_ || length_ % 64 == 0 ||
+                (w >> (length_ % 64)) == 0);
+    bits_[input * words_per_input_ + k] = w;
+  }
+
   std::size_t words_per_input() const noexcept { return words_per_input_; }
 
   /// 64 consecutive timesteps of input `i` starting at `t` (bit k = value

@@ -1,9 +1,10 @@
 #include "stats/markov.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <vector>
 
 #include "support/assert.hpp"
+#include "support/trace.hpp"
 
 namespace cfpm::stats {
 
@@ -29,22 +30,59 @@ MarkovSequenceGenerator::MarkovSequenceGenerator(InputStatistics stats,
                                                  std::uint64_t seed)
     : stats_(stats), rng_(seed) {
   CFPM_REQUIRE(feasible(stats));
-  std::tie(p01_, p10_) = flip_probabilities(stats);
 }
+
+namespace {
+
+// Integer thresholds {t01, t10} of a chain's flip draws (see
+// Xoshiro256::bernoulli_threshold).
+std::pair<std::uint64_t, std::uint64_t> flip_thresholds(
+    const InputStatistics& s) noexcept {
+  const auto [p01, p10] = flip_probabilities(s);
+  return {Xoshiro256::bernoulli_threshold(p01),
+          Xoshiro256::bernoulli_threshold(p10)};
+}
+
+// One step of a chain in state v (0 or 1): the same next() draw and the same
+// outcome as `if (rng.next_bool(v ? p10 : p01)) v = !v`, without a branch.
+// From 0 the chain moves to [m < t01]; from 1 it moves to [m >= t10]. Both
+// compares are independent of v, so only an AND and an XOR wait on it.
+inline std::uint64_t step(Xoshiro256& rng, std::uint64_t v, std::uint64_t t01,
+                          std::uint64_t t10) noexcept {
+  const std::uint64_t m = rng.next() >> 11;
+  const std::uint64_t f0 = m < t01 ? 1 : 0;
+  const std::uint64_t stay1 = m < t10 ? 0 : 1;
+  return f0 ^ (v & (f0 ^ stay1));
+}
+
+}  // namespace
 
 sim::InputSequence MarkovSequenceGenerator::generate(std::size_t num_inputs,
                                                      std::size_t length) {
+  CFPM_TRACE_SPAN("stats.gen");
   CFPM_REQUIRE(length >= 1);
   sim::InputSequence seq(num_inputs, length);
+  const std::uint64_t t_sp = Xoshiro256::bernoulli_threshold(stats_.sp);
+  const auto [t01, t10] = flip_thresholds(stats_);
+  // A local copy keeps the generator state in registers across the stores.
+  Xoshiro256 rng = rng_;
   for (std::size_t i = 0; i < num_inputs; ++i) {
-    bool v = rng_.next_bool(stats_.sp);  // stationary start
-    seq.set_bit(i, 0, v);
-    for (std::size_t t = 1; t < length; ++t) {
-      const double flip = v ? p10_ : p01_;
-      if (rng_.next_bool(flip)) v = !v;
-      seq.set_bit(i, t, v);
+    std::uint64_t v = rng.next_bool_below(t_sp) ? 1 : 0;  // stationary start
+    // Each timestep enters w at bit 63 and moves down one bit per step (a
+    // constant shift, cheaper than a variable one); a short last word is
+    // shifted down into place.
+    std::uint64_t w = v << 63;
+    std::size_t b = 1;  // bit 0 of word 0 is the start state
+    for (std::size_t k = 0; k < seq.words_per_input(); ++k, b = 0, w = 0) {
+      const std::size_t bits = std::min<std::size_t>(64, length - 64 * k);
+      for (; b < bits; ++b) {
+        v = step(rng, v, t01, t10);
+        w = (w >> 1) | (v << 63);
+      }
+      seq.set_word(i, k, w >> (64 - bits));
     }
   }
+  rng_ = rng;
   return seq;
 }
 
@@ -62,31 +100,47 @@ sim::InputSequence BurstSequenceGenerator::generate(std::size_t num_inputs,
   CFPM_REQUIRE(length >= 1);
   sim::InputSequence seq(num_inputs, length);
 
-  // Per-phase per-bit transition probabilities (shared with
-  // MarkovSequenceGenerator).
-  const auto idle = flip_probabilities(spec_.idle);
-  const auto active = flip_probabilities(spec_.active);
+  // Per-phase per-bit flip thresholds (shared with MarkovSequenceGenerator);
+  // the phase is one more chain, with enter/exit as its flips.
+  const auto idle = flip_thresholds(spec_.idle);
+  const auto active = flip_thresholds(spec_.active);
+  const std::uint64_t t_enter =
+      Xoshiro256::bernoulli_threshold(spec_.enter_active);
+  const std::uint64_t t_exit =
+      Xoshiro256::bernoulli_threshold(spec_.exit_active);
+  const std::uint64_t t_sp = Xoshiro256::bernoulli_threshold(spec_.idle.sp);
 
-  std::vector<std::uint8_t> bits(num_inputs);
+  Xoshiro256 rng = rng_;
+  // Per input: its chain state and the word of timesteps being collected,
+  // stored whole every 64 steps.
+  std::vector<std::uint64_t> state(num_inputs);
+  std::vector<std::uint64_t> word(num_inputs);
   for (std::size_t i = 0; i < num_inputs; ++i) {
-    bits[i] = rng_.next_bool(spec_.idle.sp) ? 1 : 0;
-    seq.set_bit(i, 0, bits[i] != 0);
+    state[i] = rng.next_bool_below(t_sp) ? 1 : 0;
+    word[i] = state[i];
   }
-  bool is_active = false;
+  std::uint64_t is_active = 0;
   std::size_t active_steps = 0;
   for (std::size_t t = 1; t < length; ++t) {
-    if (is_active ? rng_.next_bool(spec_.exit_active)
-                  : rng_.next_bool(spec_.enter_active)) {
-      is_active = !is_active;
+    const std::size_t b = t % 64;
+    if (b == 0) {
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        seq.set_word(i, t / 64 - 1, word[i]);
+        word[i] = 0;
+      }
     }
-    if (is_active) ++active_steps;
-    const auto [p01, p10] = is_active ? active : idle;
+    is_active = step(rng, is_active, t_enter, t_exit);
+    active_steps += is_active;
+    const auto [t01, t10] = is_active != 0 ? active : idle;
     for (std::size_t i = 0; i < num_inputs; ++i) {
-      const double flip = bits[i] ? p10 : p01;
-      if (rng_.next_bool(flip)) bits[i] = bits[i] ? 0 : 1;
-      seq.set_bit(i, t, bits[i] != 0);
+      state[i] = step(rng, state[i], t01, t10);
+      word[i] |= state[i] << b;
     }
   }
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    seq.set_word(i, (length - 1) / 64, word[i]);
+  }
+  rng_ = rng;
   last_active_fraction_ =
       length > 1 ? static_cast<double>(active_steps) / (length - 1) : 0.0;
   return seq;

@@ -45,8 +45,6 @@ class MarkovSequenceGenerator {
 
  private:
   InputStatistics stats_;
-  double p01_;
-  double p10_;
   Xoshiro256 rng_;
 };
 

@@ -6,6 +6,7 @@
 // single 64-bit seed.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace cfpm {
@@ -60,6 +61,24 @@ class Xoshiro256 {
 
   /// Bernoulli draw with probability p of returning true.
   bool next_bool(double p) noexcept { return next_double() < p; }
+
+  /// Integer form of next_bool(p). next_double() is m * 2^-53 for the
+  /// integer m = next() >> 11 in [0, 2^53), and the product is exact, so
+  /// m * 2^-53 < p holds exactly when m < p * 2^53, that is when
+  /// m < ceil(p * 2^53). Hence, draw for draw,
+  ///   next_bool(p) == next_bool_below(bernoulli_threshold(p)),
+  /// with the threshold clamped to 0 for p <= 0 (and NaN) and to 2^53 for
+  /// p >= 1. Generators compute the threshold once and compare integers.
+  static std::uint64_t bernoulli_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// Bernoulli draw against a threshold from bernoulli_threshold().
+  bool next_bool_below(std::uint64_t threshold) noexcept {
+    return (next() >> 11) < threshold;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's method.
   std::uint64_t next_below(std::uint64_t bound) noexcept {

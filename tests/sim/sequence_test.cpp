@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace cfpm::sim {
 namespace {
@@ -72,6 +73,47 @@ TEST(InputSequence, WordAccessMatchesBits) {
   seq.set_bit(0, 69, true);
   EXPECT_EQ(seq.word(0, 0), std::uint64_t{1} << 5);
   EXPECT_EQ(seq.word(0, 1), std::uint64_t{1} << 5);  // 69 - 64 = 5
+}
+
+TEST(InputSequence, TransitionProbabilityMatchesPerBitCount) {
+  // Word-at-a-time toggle counting against a per-bit count, at lengths that
+  // end inside, exactly on and just past a word boundary.
+  Xoshiro256 rng(41);
+  for (const std::size_t length : {1u, 2u, 63u, 64u, 65u, 129u}) {
+    for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+      InputSequence seq(3, length);
+      for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t t = 0; t < length; ++t) {
+          // p = 1 alternates, so every word boundary carries a toggle.
+          seq.set_bit(i, t, p == 1.0 ? (t + i) % 2 == 0 : rng.next_bool(p));
+        }
+      }
+      std::size_t toggles = 0;
+      for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t t = 0; t + 1 < length; ++t) {
+          toggles += seq.bit(i, t) != seq.bit(i, t + 1) ? 1 : 0;
+        }
+      }
+      const double want =
+          length < 2 ? 0.0
+                     : static_cast<double>(toggles) /
+                           static_cast<double>(3 * (length - 1));
+      EXPECT_DOUBLE_EQ(seq.transition_probability(), want)
+          << "length " << length << " p " << p;
+    }
+  }
+}
+
+TEST(InputSequence, SetWordStoresWholeWords) {
+  InputSequence seq(2, 70);
+  seq.set_word(1, 0, ~std::uint64_t{0});
+  seq.set_word(1, 1, 0x21);  // timesteps 64 and 69
+  EXPECT_EQ(seq.word(0, 0), 0u);
+  EXPECT_TRUE(seq.bit(1, 63));
+  EXPECT_TRUE(seq.bit(1, 64));
+  EXPECT_FALSE(seq.bit(1, 65));
+  EXPECT_TRUE(seq.bit(1, 69));
+  EXPECT_EQ(seq.window64(1, 60), 0x21fu);  // 60..64 and 69
 }
 
 TEST(InputSequence, SingleVectorHasNoTransitions) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace cfpm::stats {
 namespace {
@@ -158,6 +164,183 @@ TEST(Burst, DeterministicAndValidated) {
   bad.active = {0.1, 0.9};  // infeasible phase
   EXPECT_THROW(BurstSequenceGenerator(bad, 1), ContractError);
 }
+
+// ---------------------------------------------------------------------------
+// Stream pins. The generators draw word-at-a-time from integer thresholds;
+// the loops below are the per-bit generators they replaced, one
+// next_bool(double) and one set_bit per input bit per timestep. Every word
+// of every sequence must match them, and the crc32 constants were computed
+// from the per-bit generators so that the references cannot drift with the
+// code.
+// ---------------------------------------------------------------------------
+
+sim::InputSequence per_bit_markov(Xoshiro256& rng, const InputStatistics& s,
+                                  std::size_t num_inputs, std::size_t length) {
+  const auto [p01, p10] = flip_probabilities(s);
+  sim::InputSequence seq(num_inputs, length);
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    bool v = rng.next_bool(s.sp);
+    seq.set_bit(i, 0, v);
+    for (std::size_t t = 1; t < length; ++t) {
+      const double flip = v ? p10 : p01;
+      if (rng.next_bool(flip)) v = !v;
+      seq.set_bit(i, t, v);
+    }
+  }
+  return seq;
+}
+
+sim::InputSequence per_bit_burst(Xoshiro256& rng, const BurstSpec& spec,
+                                 std::size_t num_inputs, std::size_t length,
+                                 double* active_fraction) {
+  sim::InputSequence seq(num_inputs, length);
+  const auto idle = flip_probabilities(spec.idle);
+  const auto active = flip_probabilities(spec.active);
+  std::vector<std::uint8_t> bits(num_inputs);
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    bits[i] = rng.next_bool(spec.idle.sp) ? 1 : 0;
+    seq.set_bit(i, 0, bits[i] != 0);
+  }
+  bool is_active = false;
+  std::size_t active_steps = 0;
+  for (std::size_t t = 1; t < length; ++t) {
+    if (is_active ? rng.next_bool(spec.exit_active)
+                  : rng.next_bool(spec.enter_active)) {
+      is_active = !is_active;
+    }
+    if (is_active) ++active_steps;
+    const auto [p01, p10] = is_active ? active : idle;
+    for (std::size_t i = 0; i < num_inputs; ++i) {
+      const double flip = bits[i] ? p10 : p01;
+      if (rng.next_bool(flip)) bits[i] = bits[i] ? 0 : 1;
+      seq.set_bit(i, t, bits[i] != 0);
+    }
+  }
+  *active_fraction =
+      length > 1 ? static_cast<double>(active_steps) / (length - 1) : 0.0;
+  return seq;
+}
+
+// Compares word for word and checks that the bits past length() are zero.
+void expect_same_words(const sim::InputSequence& got,
+                       const sim::InputSequence& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.num_inputs(), want.num_inputs()) << what;
+  ASSERT_EQ(got.length(), want.length()) << what;
+  ASSERT_EQ(got.words_per_input(), want.words_per_input()) << what;
+  const std::size_t last = got.words_per_input() - 1;
+  const std::size_t tail = got.length() % 64;
+  for (std::size_t i = 0; i < got.num_inputs(); ++i) {
+    for (std::size_t k = 0; k <= last; ++k) {
+      ASSERT_EQ(got.word(i, k), want.word(i, k))
+          << what << " input " << i << " word " << k;
+    }
+    if (tail != 0) {
+      EXPECT_EQ(got.word(i, last) >> tail, 0u) << what << " input " << i;
+    }
+  }
+}
+
+std::uint32_t crc_of_words(const sim::InputSequence& seq) {
+  Crc32 crc;
+  for (std::size_t i = 0; i < seq.num_inputs(); ++i) {
+    for (std::size_t k = 0; k < seq.words_per_input(); ++k) {
+      const std::uint64_t w = seq.word(i, k);
+      char bytes[8];
+      for (int b = 0; b < 8; ++b) {
+        bytes[b] = static_cast<char>((w >> (8 * b)) & 0xffu);
+      }
+      crc.update(std::string_view(bytes, 8));
+    }
+  }
+  return crc.value();
+}
+
+constexpr std::size_t kPinWidths[] = {1, 16};
+constexpr std::size_t kPinLengths[] = {1, 2, 63, 64, 65, 1000};
+
+TEST(Markov, StreamMatchesPerBitReference) {
+  std::vector<InputStatistics> cells = evaluation_grid();
+  cells.push_back({0.0, 0.0});
+  cells.push_back({1.0, 0.0});
+  cells.push_back({0.3, 0.0});
+  cells.push_back({0.5, 1.0});
+  std::uint64_t seed = 1000;
+  for (const InputStatistics& s : cells) {
+    for (const std::size_t width : kPinWidths) {
+      for (const std::size_t length : kPinLengths) {
+        ++seed;
+        MarkovSequenceGenerator gen(s, seed);
+        Xoshiro256 rng(seed);
+        // Two calls on one generator: the second continues the stream.
+        for (int call = 0; call < 2; ++call) {
+          const std::string what =
+              "cell (" + std::to_string(s.sp) + "," + std::to_string(s.st) +
+              ") width " + std::to_string(width) + " length " +
+              std::to_string(length) + " call " + std::to_string(call);
+          expect_same_words(gen.generate(width, length),
+                            per_bit_markov(rng, s, width, length), what);
+        }
+      }
+    }
+  }
+  MarkovSequenceGenerator gen({0.35, 0.6}, 2024);
+  EXPECT_EQ(crc_of_words(gen.generate(16, 1000)), 0x8a116786u);
+  Xoshiro256 rng(2024);
+  EXPECT_EQ(crc_of_words(per_bit_markov(rng, {0.35, 0.6}, 16, 1000)),
+            0x8a116786u);
+}
+
+std::vector<BurstSpec> pinned_burst_specs() {
+  std::vector<BurstSpec> specs(5);  // [0]: the defaults
+  specs[1].enter_active = 0.05;
+  specs[1].exit_active = 0.05;
+  specs[2].idle = {0.2, 0.1};
+  specs[2].active = {0.65, 0.7};
+  specs[2].enter_active = 0.3;
+  specs[2].exit_active = 0.2;
+  specs[3].idle = {0.0, 0.0};  // frozen idle phase, alternating active one
+  specs[3].active = {0.5, 1.0};
+  specs[3].enter_active = 1.0;
+  specs[3].exit_active = 1.0;
+  specs[4].idle = {1.0, 0.0};
+  specs[4].active = {0.3, 0.0};
+  specs[4].enter_active = 0.0;
+  specs[4].exit_active = 0.0;
+  return specs;
+}
+
+TEST(Burst, StreamMatchesPerBitReference) {
+  std::uint64_t seed = 5000;
+  for (const BurstSpec& spec : pinned_burst_specs()) {
+    for (const std::size_t width : kPinWidths) {
+      for (const std::size_t length : kPinLengths) {
+        ++seed;
+        BurstSequenceGenerator gen(spec, seed);
+        Xoshiro256 rng(seed);
+        for (int call = 0; call < 2; ++call) {
+          const std::string what =
+              "seed " + std::to_string(seed) + " width " +
+              std::to_string(width) + " length " + std::to_string(length) +
+              " call " + std::to_string(call);
+          double fraction = -1.0;
+          const sim::InputSequence want =
+              per_bit_burst(rng, spec, width, length, &fraction);
+          expect_same_words(gen.generate(width, length), want, what);
+          EXPECT_EQ(gen.last_active_fraction(), fraction) << what;
+        }
+      }
+    }
+  }
+  BurstSequenceGenerator gen(pinned_burst_specs()[1], 2024);
+  EXPECT_EQ(crc_of_words(gen.generate(16, 1000)), 0xa92de384u);
+  Xoshiro256 rng(2024);
+  double fraction = -1.0;
+  EXPECT_EQ(crc_of_words(per_bit_burst(rng, pinned_burst_specs()[1], 16, 1000,
+                                       &fraction)),
+            0xa92de384u);
+}
+
 
 TEST(EvaluationGrid, AllFeasibleAndNonEmpty) {
   const auto grid = evaluation_grid();

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
+
+#include "stats/markov.hpp"
 
 namespace cfpm {
 namespace {
@@ -64,6 +68,43 @@ TEST(Xoshiro, NextBelowRoughlyUniform) {
   for (int i = 0; i < n; ++i) ++counts[rng.next_below(8)];
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / n, 0.125, 0.01);
+  }
+}
+
+TEST(Rng, ThresholdDrawMatchesNextBool) {
+  std::vector<double> ps = {0.0,  1.0,  0.5, 0x1.0p-60, -0.5, 1.5,
+                            std::numeric_limits<double>::quiet_NaN()};
+  // k / 2^53 is exactly representable; its neighbours straddle the
+  // threshold k.
+  for (const double k : {1.0, 2.0, 3.0, 12345.0, 0x1.0p52, 0x1.0p53 - 1.0}) {
+    const double p = k * 0x1.0p-53;
+    ps.push_back(p);
+    ps.push_back(std::nextafter(p, 0.0));
+    ps.push_back(std::nextafter(p, 1.0));
+  }
+  for (const stats::InputStatistics& s : stats::evaluation_grid()) {
+    const auto [p01, p10] = stats::flip_probabilities(s);
+    ps.push_back(p01);
+    ps.push_back(p10);
+    ps.push_back(s.sp);
+  }
+  std::uint64_t seed = 0;
+  for (const double p : ps) {
+    const std::uint64_t threshold = Xoshiro256::bernoulli_threshold(p);
+    // The identity at the draws next to the threshold, where a rounding
+    // slip would show.
+    for (std::uint64_t m = threshold > 2 ? threshold - 2 : 0;
+         m < threshold + 2 && m < (std::uint64_t{1} << 53); ++m) {
+      EXPECT_EQ(static_cast<double>(m) * 0x1.0p-53 < p, m < threshold)
+          << "p " << p << " m " << m;
+    }
+    ++seed;
+    Xoshiro256 a(seed), b(seed);
+    int mismatches = 0;
+    for (int n = 0; n < 1000000; ++n) {
+      mismatches += a.next_bool(p) != b.next_bool_below(threshold) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0) << "p " << p;
   }
 }
 

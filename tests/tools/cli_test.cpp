@@ -292,6 +292,7 @@ TEST(Cli, TraceJsonHasChromeEvents) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"cli\""), std::string::npos);
   EXPECT_NE(json.find("\"power.build\""), std::string::npos);
+  EXPECT_NE(json.find("\"stats.gen\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   std::remove(path.c_str());
 }
