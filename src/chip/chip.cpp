@@ -88,7 +88,7 @@ ModelSource make_model_source(const ChipBuildOptions& options) {
     mo.add.degrade = options.degrade;
     // Fresh deadline per macro: each macro build runs on its own clock, so
     // one slow macro cannot starve the rest of the library.
-    mo.add.dd_config.deadline = deadline_after(options.deadline_ms);
+    mo.add.deadline = deadline_after(options.deadline_ms);
     mo.library = options.library;
     SourcedModel out;
     std::shared_ptr<power::PowerModel> model = power::make_model(kind, n, mo);

@@ -48,8 +48,8 @@ struct ChipSpec {
 };
 
 /// Build record for one distinct library macro (shared by all its
-/// instances): the §9 ladder outcome of both model variants is preserved so
-/// a degraded macro is never silently mistaken for a clean one.
+/// instances): the §9 build outcome of both model variants is preserved so
+/// a fallback macro is never silently mistaken for a clean one.
 struct MacroBuildReport {
   std::string name;           ///< library macro name, e.g. "add4"
   std::size_t num_inputs = 0;
@@ -74,12 +74,12 @@ struct ChipBuildOptions {
   /// Per-macro wall-clock build budget; each macro build gets a fresh
   /// deadline so one slow macro cannot starve the rest of the library.
   std::optional<std::size_t> deadline_ms;
-  bool degrade = true;  ///< walk the §9 degradation ladder per macro
+  bool degrade = true;  ///< §9 constant fallback per macro on a deadline
   netlist::GateLibrary library = netlist::GateLibrary::standard();
 };
 
 /// One model as produced by a ModelSource: the model itself plus the
-/// builder metadata a report needs (ladder outcome, node count, whether it
+/// builder metadata a report needs (build outcome, node count, whether it
 /// was served from a cache instead of built).
 struct SourcedModel {
   std::shared_ptr<const power::PowerModel> model;
@@ -95,7 +95,7 @@ using ModelSource =
     std::function<SourcedModel(const netlist::Netlist&, power::ModelKind)>;
 
 /// The default source for `options`: power::make_model under a fresh
-/// per-macro deadline, with the §9 ladder per `options.degrade`.
+/// per-macro deadline, with the §9 fallback per `options.degrade`.
 ModelSource make_model_source(const ChipBuildOptions& options);
 
 class Chip {
@@ -139,7 +139,7 @@ class Chip {
   /// Tree levels including leaves (chip -> block -> macro).
   std::size_t depth() const noexcept { return 3; }
 
-  /// True when any library macro took a §9 ladder rung.
+  /// True when any library macro fell back to the §9 constant model.
   bool degraded() const;
 
   /// The loose bound the paper argues against: sum of the leaves' global

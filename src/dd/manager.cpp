@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "support/assert.hpp"
-#include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/metrics.hpp"
 
@@ -32,6 +31,13 @@ inline std::size_t hash_value(double v, std::size_t mask) noexcept {
 
 constexpr std::size_t kInitialBuckets = 256;  // power of two
 
+/// GC runs at a safe point once the dead nodes exceed
+/// max(kGcMinDead, live nodes * kGcDeadFraction).
+constexpr std::size_t kGcMinDead = 4096;
+constexpr double kGcDeadFraction = 0.25;
+/// log2 of the computed-cache slot count.
+constexpr unsigned kCacheLog2Slots = 18;
+
 }  // namespace
 
 std::size_t DdManager::child_slot(Edge t, Edge e, std::size_t mask) noexcept {
@@ -40,10 +46,9 @@ std::size_t DdManager::child_slot(Edge t, Edge e, std::size_t mask) noexcept {
   return static_cast<std::size_t>(mix(a * 0x9e3779b97f4a7c15ULL + b)) & mask;
 }
 
-DdManager::DdManager(std::size_t num_vars, DdConfig config)
-    : config_(config) {
-  CFPM_REQUIRE(config_.cache_log2_slots >= 4 && config_.cache_log2_slots <= 28);
-  cache_.resize(std::size_t{1} << config_.cache_log2_slots);
+DdManager::DdManager(std::size_t num_vars, Deadline deadline)
+    : deadline_(deadline) {
+  cache_.resize(std::size_t{1} << kCacheLog2Slots);
   terminals_.buckets.resize(kInitialBuckets, kNilIndex);
   // Pre-size the arena so early builds never pay a relocation; 4096 records
   // is 64 KiB, well under one unique table's worth of buckets.
@@ -141,10 +146,10 @@ std::uint32_t DdManager::allocate_node() {
   // must pass through — except during in-place reordering, where an unwound
   // exception would leave a level half-relabeled (sifting checks between
   // whole swaps instead).
-  if (config_.deadline && !in_reorder_ &&
+  if (deadline_ && !in_reorder_ &&
       ++allocs_since_check_ >= kDeadlineCheckInterval) {
     allocs_since_check_ = 0;
-    check_deadline(config_.deadline);  // may throw
+    check_deadline(deadline_);  // may throw
   }
   // Same exclusion zone as the deadline: an injected throw unwinds through
   // the strongly exception-safe apply/ite/make_node paths, but must never
@@ -154,17 +159,6 @@ std::uint32_t DdManager::allocate_node() {
     const std::uint32_t i = free_list_;
     free_list_ = nodes_[i].next;
     return i;
-  }
-  if (config_.max_nodes != 0 && allocated_ >= config_.max_nodes &&
-      !in_reorder_) {
-    collect_garbage();
-    if (free_list_ != kNilIndex) {
-      const std::uint32_t i = free_list_;
-      free_list_ = nodes_[i].next;
-      return i;
-    }
-    throw ResourceError("decision-diagram node budget exceeded (" +
-                        std::to_string(config_.max_nodes) + " nodes)");
   }
   CFPM_REQUIRE(allocated_ < kNilIndex);  // 31-bit index space
   const auto i = static_cast<std::uint32_t>(nodes_.size());
@@ -242,7 +236,7 @@ Edge DdManager::make_node(std::uint32_t var, Edge t, Edge e) {
       return make_edge(p, complement_out);
     }
   }
-  // Strong guarantee: a throw past this point (table growth, node budget,
+  // Strong guarantee: a throw past this point (table growth, allocation,
   // deadline, failpoint) must not leak the child references this call
   // consumes.
   std::uint32_t i;
@@ -294,8 +288,8 @@ void DdManager::maybe_resize_table(std::uint32_t var) {
 void DdManager::maybe_gc() {
   counts_.publish();
   const std::size_t threshold = std::max(
-      config_.gc_min_dead,
-      static_cast<std::size_t>(static_cast<double>(live_) * config_.gc_dead_fraction));
+      kGcMinDead,
+      static_cast<std::size_t>(static_cast<double>(live_) * kGcDeadFraction));
   if (dead_ > threshold) collect_garbage();
 }
 

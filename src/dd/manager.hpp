@@ -46,25 +46,6 @@ enum class Op : std::uint8_t {
   kMin,    ///< pointwise minimum
 };
 
-/// Tuning knobs for a DdManager.
-struct DdConfig {
-  /// GC is considered when the number of dead nodes exceeds
-  /// max(gc_min_dead, live nodes * gc_dead_fraction).
-  std::size_t gc_min_dead = 4096;
-  double gc_dead_fraction = 0.25;
-  /// log2 of the computed-cache slot count.
-  unsigned cache_log2_slots = 18;
-  /// Hard ceiling on allocated nodes; 0 means unlimited. Exceeding it
-  /// throws cfpm::ResourceError (after attempting a GC).
-  std::size_t max_nodes = 0;
-  /// Optional wall-clock deadline, checked every kDeadlineCheckInterval
-  /// node allocations (outside in-place reordering) and between whole
-  /// level swaps; DeadlineExceeded is thrown from those points. Several
-  /// managers (e.g. successive degradation-ladder attempts) answer to one
-  /// budget by holding the same time point.
-  Deadline deadline;
-};
-
 /// A manager with a deadline checks the clock once per this many of its
 /// own node allocations, so a runaway apply stops within ~10^3 allocations
 /// (well under a millisecond) of the deadline.
@@ -72,7 +53,11 @@ inline constexpr std::uint32_t kDeadlineCheckInterval = 1024;
 
 class DdManager {
  public:
-  explicit DdManager(std::size_t num_vars = 0, DdConfig config = {});
+  /// `deadline` is optional: when set it is checked every
+  /// kDeadlineCheckInterval node allocations (outside in-place reordering)
+  /// and between whole level swaps, and DeadlineExceeded is thrown from
+  /// those points.
+  explicit DdManager(std::size_t num_vars = 0, Deadline deadline = {});
   ~DdManager();
 
   DdManager(const DdManager&) = delete;
@@ -206,7 +191,7 @@ class DdManager {
   /// Consumes one reference each from t and e; referenced-return. The
   /// then-edge canonicity invariant is restored here: a complemented t is
   /// normalized by flipping both children and complementing the result
-  /// edge. On an exception (node budget, deadline, failpoint) both references
+  /// edge. On an exception (allocation, deadline, failpoint) both references
   /// are released before the throw propagates, so callers never leak them.
   Edge make_node(std::uint32_t var, Edge t, Edge e);
   std::uint32_t allocate_node();
@@ -245,12 +230,12 @@ class DdManager {
   static constexpr std::uint32_t kTerminalLevel = DdNode::kTerminalVar;
 
   // --- storage --------------------------------------------------------------
-  DdConfig config_;
-  /// Set for the duration of an in-place adjacent-level swap: the node cap
-  /// and deadline checks are suspended there because a half-relabeled
-  /// level cannot be unwound (swaps only ever shrink-or-hold the diagram
-  /// modulo transient nodes, so the suspension is bounded). The deadline is
-  /// instead checked between swaps.
+  Deadline deadline_;
+  /// Set for the duration of an in-place adjacent-level swap: the deadline
+  /// check and the allocation failpoint are suspended there because a
+  /// half-relabeled level cannot be unwound (swaps only ever shrink-or-hold
+  /// the diagram modulo transient nodes, so the suspension is bounded). The
+  /// deadline is instead checked between swaps.
   bool in_reorder_ = false;
   /// Allocations since the last deadline check (counted only while a
   /// deadline is set and outside reordering).

@@ -17,10 +17,10 @@ namespace cfpm::dd {
 
 namespace {
 
-/// Suspends node-cap enforcement and deadline checks for the duration of
-/// an in-place swap: a throw from allocate_node mid-swap would leave the
-/// level half-relabeled with no way to unwind. The deadline is instead
-/// checked between whole swaps (sift loops below), so a stuck sift still
+/// Suspends the deadline check and the allocation failpoint for the
+/// duration of an in-place swap: a throw from allocate_node mid-swap would
+/// leave the level half-relabeled with no way to unwind. The deadline is
+/// instead checked between whole swaps (sift loops below), so a stuck sift still
 /// stops within one swap's worth of work.
 class ReorderScope {
  public:
@@ -164,7 +164,7 @@ std::size_t DdManager::sift_variable(std::uint32_t var, double max_growth) {
 
   // Phase 1: sift down to the bottom (abort on excessive growth).
   while (pos + 1 < levels) {
-    check_deadline(config_.deadline);
+    check_deadline(deadline_);
     const std::size_t size = swap_adjacent_levels(pos);
     ++pos;
     if (size < best_size) {
@@ -175,7 +175,7 @@ std::size_t DdManager::sift_variable(std::uint32_t var, double max_growth) {
   }
   // Phase 2: sift up to the top.
   while (pos > 0) {
-    check_deadline(config_.deadline);
+    check_deadline(deadline_);
     const std::size_t size = swap_adjacent_levels(pos - 1);
     --pos;
     if (size < best_size) {

@@ -49,7 +49,7 @@ class SymbolicBuilder {
     CFPM_REQUIRE(loads_.size() == n_.num_signals());
 
     auto mgr = std::make_shared<dd::DdManager>(2 * num_inputs,
-                                               options_.dd_config);
+                                               options_.deadline);
     AddModelBuildInfo info;
 
     // Node functions of every signal, in both variable spaces, built in one
@@ -85,7 +85,7 @@ class SymbolicBuilder {
     for (SignalId s = 0; s < n_.num_signals(); ++s) {
       // Per-gate safe point: between gate contributions every handle is
       // consistent, so this is the cheapest place to stop a whole build.
-      check_deadline(options_.dd_config.deadline);
+      check_deadline(options_.deadline);
       const auto& sig = n_.signal(s);
       if (sig.is_input) {
         const std::uint32_t idx = n_.input_index(s);
@@ -191,7 +191,7 @@ AddPowerModel::AddPowerModel(std::shared_ptr<dd::DdManager> mgr,
       mode_(mode),
       circuit_name_(std::move(circuit_name)) {}
 
-/// Last rung of the ladder: a constant (Con-style) estimator that can be
+/// The deadline fallback: a constant (Con-style) estimator that can be
 /// built with a handful of nodes and no budget pressure. In upper-bound
 /// mode the constant is the total driven load — every transition can switch
 /// at most every gate once, so the result stays a true conservative bound.
@@ -208,11 +208,11 @@ AddPowerModel AddPowerModel::constant_fallback(const Netlist& n,
   const double value = options.mode == dd::ApproxMode::kUpperBound
                            ? total_load
                            : 0.25 * total_load;
-  // No deadline and no cap: three nodes always fit, and an expired deadline
-  // must not be able to stop the surrender rung.
+  // No deadline: three nodes always fit, and the expired deadline that
+  // brought us here must not be able to stop the fallback.
   auto mgr = std::make_shared<dd::DdManager>(2 * n.num_inputs());
   dd::Add constant = mgr->constant(value);
-  // The surrender rung passes no safe point: publish its allocations so the
+  // The fallback passes no safe point: publish its allocations so the
   // degraded build's spent line counts them.
   mgr->publish_counts();
   return AddPowerModel(std::move(mgr), std::move(constant), n.num_inputs(),
@@ -223,74 +223,19 @@ AddPowerModel AddPowerModel::build(const Netlist& n,
                                    std::span<const double> loads_ff,
                                    const AddModelOptions& options) {
   CFPM_TRACE_SPAN("power.build");
-  static const metrics::Counter c_attempt("power.build.attempt");
-  static const metrics::Counter c_rung("power.build.rung");
   static const metrics::Counter c_fallback("power.build.fallback");
-  Timer ladder_timer;
-  AddModelOptions effective = options;
-  std::vector<BuildRung> rungs;
-  std::size_t attempts = 0;
-  const std::size_t floor = std::max<std::size_t>(options.degrade_floor, 1);
-
-  auto finish = [&](AddPowerModel model, BuildOutcome outcome) {
-    c_rung.add(rungs.size());
-    model.build_info_.outcome = outcome;
-    model.build_info_.rungs = std::move(rungs);
-    model.build_info_.attempts = attempts;
-    model.build_info_.build_seconds = ladder_timer.seconds();
+  Timer timer;
+  try {
+    return SymbolicBuilder(n, loads_ff, options).run();
+  } catch (const DeadlineExceeded& e) {
+    if (!options.degrade) throw;
+    c_fallback.add();
+    AddPowerModel model = constant_fallback(n, loads_ff, options);
+    model.build_info_.outcome = BuildOutcome::kFallback;
+    model.build_info_.fallback_reason = e.what();
+    model.build_info_.build_seconds = timer.seconds();
     return model;
-  };
-
-  for (;;) {
-    ++attempts;
-    c_attempt.add();
-    try {
-      SymbolicBuilder builder(n, loads_ff, effective);
-      return finish(builder.run(), rungs.empty() ? BuildOutcome::kClean
-                                                 : BuildOutcome::kDegraded);
-    } catch (const DeadlineExceeded& e) {
-      if (!options.degrade) throw;
-      // No time left for a retry of any size; surrender immediately.
-      rungs.push_back({"fallback-constant", e.what(), 0});
-      break;
-    } catch (const ResourceError& e) {
-      if (!options.degrade) throw;
-      if (!effective.approximate_during_construction) {
-        // Rung 1: the paper's own remedy — approximate while building.
-        effective.approximate_during_construction = true;
-        rungs.push_back({"force-approximate", e.what(), effective.max_nodes});
-        continue;
-      }
-      if (effective.max_nodes == 0) {
-        // An "exact" build blew the manager cap; adopt a finite MAX well
-        // under the cap so in-construction collapsing has room to work.
-        effective.max_nodes =
-            std::max(floor, effective.dd_config.max_nodes / 64);
-        effective.delta_max_nodes = effective.max_nodes;
-        rungs.push_back({"bound-max-nodes", e.what(), effective.max_nodes});
-        continue;
-      }
-      if (effective.max_nodes / 2 >= floor) {
-        // Rung k: approximate twice as hard, and clamp each gate's deltaC
-        // contribution too so no single gate can blow the sum.
-        effective.max_nodes /= 2;
-        if (effective.delta_max_nodes == 0 ||
-            effective.delta_max_nodes > effective.max_nodes) {
-          effective.delta_max_nodes = effective.max_nodes;
-        }
-        rungs.push_back({"halve-max-nodes", e.what(), effective.max_nodes});
-        continue;
-      }
-      rungs.push_back({"fallback-constant", e.what(), 0});
-      break;
-    }
   }
-
-  ++attempts;
-  c_attempt.add();
-  c_fallback.add();
-  return finish(constant_fallback(n, loads_ff, options),
-                BuildOutcome::kFallback);
 }
 
 AddPowerModel AddPowerModel::build(const Netlist& n,

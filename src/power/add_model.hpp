@@ -24,6 +24,7 @@
 #include "netlist/library.hpp"
 #include "netlist/netlist.hpp"
 #include "power/power_model.hpp"
+#include "support/deadline.hpp"
 
 namespace cfpm::power {
 
@@ -52,34 +53,22 @@ struct AddModelOptions {
   /// Reordering often shrinks the exact ADD below MAX, in which case the
   /// model needs no approximation at all.
   unsigned reorder_passes = 2;
-  dd::DdConfig dd_config;
-  /// Walk the degradation ladder on ResourceError/DeadlineExceeded instead
-  /// of propagating: retry with in-construction approximation forced on,
-  /// then with repeatedly halved budgets down to `degrade_floor`, then
-  /// surrender to a constant (Con-style) estimator. Every rung taken is
-  /// recorded in AddModelBuildInfo::rungs. With `degrade` false the first
-  /// failure is rethrown.
+  /// Wall-clock time point the build must stop by; none means unbounded.
+  Deadline deadline;
+  /// On DeadlineExceeded, return the constant (Con-style) fallback model
+  /// instead of propagating; AddModelBuildInfo records why. With `degrade`
+  /// false the error is rethrown.
   bool degrade = true;
-  /// Smallest MAX the ladder will retry with before the constant fallback.
-  std::size_t degrade_floor = 16;
   /// Unused: nothing reads it. Kept only because the benchmark sources
   /// assign it; the next change to the benchmark removes it.
   std::size_t build_threads = 1;
 };
 
 /// How the model left the builder (see AddModelOptions::degrade).
+/// The values are the wire encoding; 1 is retired.
 enum class BuildOutcome {
-  kClean,     ///< first attempt succeeded; no ladder rung taken
-  kDegraded,  ///< a retry rung (forced/halved approximation) produced it
-  kFallback,  ///< every retry failed; constant Con-style estimator
-};
-
-/// One rung of the degradation ladder, recorded so a degraded result is
-/// never silently mistaken for a clean one.
-struct BuildRung {
-  std::string action;     ///< e.g. "force-approximate", "halve-max-nodes"
-  std::string reason;     ///< what() of the error that forced this rung
-  std::size_t max_nodes;  ///< MAX in force for the retry (0 = n/a)
+  kClean = 0,     ///< the Fig. 6 build finished
+  kFallback = 2,  ///< the deadline expired; constant Con-style estimator
 };
 
 /// Build-time metadata (reported in the Table-1 CPU/MAX columns).
@@ -90,9 +79,8 @@ struct AddModelBuildInfo {
   std::size_t exact_if_zero = 0;    ///< 0 when no approximation ever ran
   std::size_t reorder_runs = 0;     ///< sifting invocations during build
   BuildOutcome outcome = BuildOutcome::kClean;
-  std::vector<BuildRung> rungs;     ///< ladder rungs taken, in order
-  /// Total attempts across the ladder (1 for a clean build).
-  std::size_t attempts = 1;
+  /// what() of the error that forced the fallback; empty for a clean build.
+  std::string fallback_reason;
 };
 
 class AddPowerModel final : public PowerModel {
@@ -178,8 +166,8 @@ class AddPowerModel final : public PowerModel {
                 std::size_t num_inputs, VariableOrder order,
                 dd::ApproxMode mode, std::string circuit_name);
 
-  /// Last ladder rung: a constant (Con-style) estimator built on a fresh,
-  /// ungoverned manager -- total driven load in bound mode, its
+  /// The deadline fallback: a constant (Con-style) estimator built on a
+  /// fresh manager with no deadline -- total driven load in bound mode, its
   /// balanced-gate expectation in average mode.
   static AddPowerModel constant_fallback(const netlist::Netlist& n,
                                          std::span<const double> loads_ff,

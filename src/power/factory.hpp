@@ -31,7 +31,7 @@ enum class ModelKind {
 };
 
 struct ModelOptions {
-  /// Builder options for the ADD kinds (budget, mode, deadline, ladder).
+  /// Builder options for the ADD kinds (budget, mode, deadline, fallback).
   /// The factory forces `add.mode` from the kind, so callers select
   /// average vs. upper-bound via ModelKind alone.
   AddModelOptions add;

@@ -8,11 +8,11 @@
 //             (serve.cache.hit, zero construction work); a miss runs one
 //             deduplicated build on the requesting connection's thread
 //             (concurrent requesters of the same id wait on the same job)
-//             under the request's deadline, with the §9 degradation
-//             ladder as fallback. Clean builds are admitted
-//             to the registry; degraded results are served to their
-//             requester but never cached (a ladder outcome depends on wall
-//             clock, so caching one would break the bit-identical replay
+//             under the request's deadline, with the §9 constant model
+//             as fallback. Clean builds are admitted to the registry;
+//             fallback results are served to their requester but never
+//             cached (whether the deadline expires depends on wall clock,
+//             so caching one would break the bit-identical replay
 //             guarantee).
 //   eval   -> (sp, st) workload query against an admitted model — the exact
 //             one-shot-CLI recipe (seeded Markov generator + one batched

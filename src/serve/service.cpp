@@ -34,8 +34,6 @@ ErrorPayload classify(const std::exception_ptr& error) noexcept {
     p = {StatusCode::kError, ErrorKind::kParse, e.what()};
   } catch (const IoError& e) {
     p = {StatusCode::kError, ErrorKind::kIo, e.what()};
-  } catch (const ResourceError& e) {
-    p = {StatusCode::kError, ErrorKind::kResource, e.what()};
   } catch (const DeadlineExceeded& e) {
     p = {StatusCode::kError, ErrorKind::kDeadline, e.what()};
   } catch (const Error& e) {
@@ -60,8 +58,6 @@ void rethrow(const ErrorPayload& payload) {
       throw ParseError(payload.message);
     case ErrorKind::kIo:
       throw IoError(payload.message);
-    case ErrorKind::kResource:
-      throw ResourceError(payload.message);
     case ErrorKind::kDeadline:
       throw DeadlineExceeded(payload.message);
     case ErrorKind::kOom:
@@ -155,7 +151,7 @@ power::ModelOptions to_model_options(const BuildOptions& o,
   mo.add.reorder_passes = o.reorder_passes;
   mo.add.approximate_during_construction = o.approximate_during_construction;
   mo.add.degrade = o.degrade;
-  mo.add.dd_config.deadline = deadline_after(o.deadline_ms);
+  mo.add.deadline = deadline_after(o.deadline_ms);
   mo.library = library;
   mo.characterization_vectors = o.characterization_vectors;
   mo.characterization_seed = o.characterization_seed;

@@ -52,9 +52,9 @@ inline constexpr std::uint64_t kWorkloadSeed = 0xcf9e;
 /// Outcome classes, numerically identical to the CLI exit-code taxonomy.
 enum class StatusCode : std::uint32_t {
   kOk = 0,
-  kError = 1,     ///< typed runtime failure (parse, io, resource, ...)
+  kError = 1,     ///< typed runtime failure (parse, io, deadline, ...)
   kUsage = 2,     ///< malformed request (bad field)
-  kDegraded = 3,  ///< build completed via the degradation ladder
+  kDegraded = 3,  ///< the deadline expired; a constant fallback was built
   kOom = 4,       ///< out of memory
   kInternal = 5,  ///< unexpected std::exception
 };
@@ -66,7 +66,7 @@ enum class ErrorKind : std::uint32_t {
   kUsage = 1,     ///< malformed request (no exception type; kUsage code)
   kParse = 2,     ///< cfpm::ParseError
   kIo = 3,        ///< cfpm::IoError
-  kResource = 4,  ///< cfpm::ResourceError
+  // 4 is retired (it carried a node-budget error that no longer exists).
   kDeadline = 5,  ///< cfpm::DeadlineExceeded
   // 6 is retired (it carried a cancellation error that no longer exists);
   // the explicit values keep every other wire code unchanged.
@@ -191,7 +191,7 @@ struct EvalReply {
 struct ChipRequest {
   std::string spec = "2x3x12";  ///< "CxBxM" chip topology
   std::size_t max_nodes = 4000;  ///< per-macro node budget (0 = exact)
-  bool degrade = true;           ///< §9 ladder per macro
+  bool degrade = true;           ///< §9 constant fallback per macro
   std::optional<std::size_t> deadline_ms;  ///< per-macro build deadline
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;
@@ -218,7 +218,7 @@ struct ChipComponentTotal {
 
 struct ChipReply {
   StatusCode status = StatusCode::kOk;  ///< kOk, or kDegraded if any macro
-                                        ///< took a §9 ladder rung
+                                        ///< fell back (§9)
   std::string spec;
   std::size_t macros = 0;      ///< leaf instances
   std::size_t components = 0;  ///< composite nodes (chip + blocks)
@@ -252,8 +252,8 @@ power::ModelOptions to_model_options(
 ModelId model_id(const netlist::Netlist& n, const BuildOptions& options);
 
 /// Builds the requested model. Sets a deadline when the request carries
-/// one, and reports a ladder-degraded build as status kDegraded. Throws
-/// typed errors.
+/// one, and reports a build that fell back to the constant model as status
+/// kDegraded. Throws typed errors.
 BuildReply build(const BuildRequest& request);
 
 /// Rich in-process form for callers that already hold ModelOptions (the
@@ -289,7 +289,7 @@ cfpm::chip::ChipBuildOptions to_chip_build_options(const ChipRequest& request);
 /// generates the seeded Markov workload at the chip bus width, and
 /// evaluates both compositions. Sharding over `pool` never changes the
 /// bits (chip::evaluate_trace contract). Throws typed errors; status is
-/// kDegraded when any macro took a §9 ladder rung.
+/// kDegraded when any macro fell back to the §9 constant model.
 ChipReply evaluate_chip(const ChipRequest& request,
                         const cfpm::chip::ModelSource& source,
                         ThreadPool* pool = nullptr);

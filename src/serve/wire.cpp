@@ -103,6 +103,15 @@ bool parse_flag(std::string_view v, std::string_view key) {
                    std::string(v) + "'");
 }
 
+/// Outcome 1 is retired: it marked a model rebuilt under a smaller budget.
+power::BuildOutcome parse_outcome(unsigned raw) {
+  if (raw != static_cast<unsigned>(power::BuildOutcome::kClean) &&
+      raw != static_cast<unsigned>(power::BuildOutcome::kFallback)) {
+    throw ParseError("wire: unknown outcome " + std::to_string(raw));
+  }
+  return static_cast<power::BuildOutcome>(raw);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -285,8 +294,7 @@ std::string encode_build_reply(const service::BuildReply& reply) {
      << "status " << static_cast<unsigned>(reply.status) << "\n"
      << "nodes " << reply.model_nodes << "\n"
      << "cache-hit " << (reply.cache_hit ? 1 : 0) << "\n"
-     << "outcome " << static_cast<unsigned>(reply.build_info.outcome) << "\n"
-     << "attempts " << reply.build_info.attempts << "\n";
+     << "outcome " << static_cast<unsigned>(reply.build_info.outcome) << "\n";
   return os.str();
 }
 
@@ -304,12 +312,7 @@ service::BuildReply decode_build_reply(std::string_view payload) {
   reply.status = static_cast<service::StatusCode>(status);
   reply.model_nodes = r.number<std::size_t>("nodes");
   reply.cache_hit = parse_flag(r.field("cache-hit"), "cache-hit");
-  const auto outcome = r.number<unsigned>("outcome");
-  if (outcome > static_cast<unsigned>(power::BuildOutcome::kFallback)) {
-    throw ParseError("wire: unknown outcome " + std::to_string(outcome));
-  }
-  reply.build_info.outcome = static_cast<power::BuildOutcome>(outcome);
-  reply.build_info.attempts = r.number<std::size_t>("attempts");
+  reply.build_info.outcome = parse_outcome(r.number<unsigned>("outcome"));
   return reply;
 }
 
@@ -467,8 +470,9 @@ service::ErrorPayload decode_error(std::string_view payload) {
   }
   error.code = static_cast<service::StatusCode>(code);
   const auto kind = r.number<unsigned>("kind");
-  // Kind 6 is retired: it carried a cancellation error no build can raise.
-  if (kind == 6 ||
+  // Kinds 4 and 6 are retired: they carried a node-budget error and a
+  // cancellation error that no build can raise.
+  if (kind == 4 || kind == 6 ||
       kind > static_cast<unsigned>(service::ErrorKind::kInternal)) {
     throw ParseError("wire: unknown error kind " + std::to_string(kind));
   }
@@ -521,11 +525,7 @@ T token_number(std::string_view v, std::string_view key) {
 }
 
 power::BuildOutcome token_outcome(std::string_view v, std::string_view key) {
-  const auto raw = token_number<unsigned>(v, key);
-  if (raw > static_cast<unsigned>(power::BuildOutcome::kFallback)) {
-    throw ParseError("wire: unknown outcome " + std::to_string(raw));
-  }
-  return static_cast<power::BuildOutcome>(raw);
+  return parse_outcome(token_number<unsigned>(v, key));
 }
 
 }  // namespace

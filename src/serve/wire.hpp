@@ -34,7 +34,8 @@ namespace cfpm::serve::wire {
 /// 2: build and chip requests dropped their thread-count and retry lines.
 /// 3: build, eval, trace and chip payloads dropped their `version` line
 /// (this header field is the one version check).
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// 4: the build reply dropped its `attempts` line.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr char kMagic[4] = {'C', 'F', 'P', 'M'};
 /// Upper bound on a payload a peer may declare (64 MiB): a corrupt length

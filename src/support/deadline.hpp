@@ -2,9 +2,9 @@
 // stop by.
 //
 // A Deadline is an immutable value, so it is copied freely into every
-// dd::DdConfig that should answer to it: successive degradation-ladder
-// attempts, or the three builds of `cfpm accuracy`, share one budget simply
-// by holding the same time point. The workers call check_deadline() at
+// dd::DdManager that should answer to it: the three builds of
+// `cfpm accuracy`, or every macro of a chip, share one budget simply by
+// holding the same time point. The workers call check_deadline() at
 // natural safe points (every dd::kDeadlineCheckInterval node allocations,
 // between whole level swaps, once per gate of the Fig. 6 loop); an expired
 // deadline throws DeadlineExceeded from the worker's own stack, so the

@@ -40,15 +40,9 @@ class IoError : public Error {
   explicit IoError(const std::string& what) : Error(what) {}
 };
 
-/// Resource limit exceeded (e.g. decision-diagram node budget).
-class ResourceError : public Error {
- public:
-  explicit ResourceError(const std::string& what) : Error(what) {}
-};
-
 /// A construction ran past its wall-clock deadline (support/deadline).
-/// Recoverable: the degradation ladder (power/add_model) converts it into a
-/// cheaper model.
+/// Recoverable: AddPowerModel::build (power/add_model) answers it with the
+/// constant fallback model when degradation is allowed.
 class DeadlineExceeded : public Error {
  public:
   explicit DeadlineExceeded(const std::string& what) : Error(what) {}

@@ -69,8 +69,6 @@ ParsedEntry parse_entry(std::string_view entry) {
     out.action = Action::kThrowBadAlloc;
   } else if (rhs == "throw_deadline") {
     out.action = Action::kThrowDeadline;
-  } else if (rhs == "throw_resource") {
-    out.action = Action::kThrowResource;
   } else if (rhs == "fail_io") {
     out.action = Action::kFailIo;
   } else if (rhs.rfind("delay_ms(", 0) == 0 && rhs.back() == ')') {
@@ -185,9 +183,6 @@ void hit_slow(std::string_view name) {
     case Action::kThrowDeadline:
       throw DeadlineExceeded("injected deadline at failpoint '" +
                              std::string(name) + "'");
-    case Action::kThrowResource:
-      throw ResourceError("injected resource fault at failpoint '" +
-                          std::string(name) + "'");
     case Action::kFailIo:
       throw IoError("injected I/O failure at failpoint '" + std::string(name) +
                     "'");

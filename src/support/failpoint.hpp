@@ -8,8 +8,8 @@
 // Tests, the fuzz campaign (`cfpm fuzz --faults`) and operators arm
 // failpoints by name with an action and a fire budget; the next `count`
 // executions of the hook then perform the action (throw a typed exception,
-// sleep, fail I/O). This is how the recovery machinery — the degradation
-// ladder (power/add_model), the thread-pool spawn degradation, crash-safe
+// sleep, fail I/O). This is how the recovery machinery — the deadline
+// fallback (power/add_model), the thread-pool spawn degradation, crash-safe
 // writes (support/io) — is exercised deterministically instead of waiting
 // for a full disk or OOM in the wild.
 //
@@ -21,8 +21,7 @@
 // Spec grammar (count omitted = 1; count 0 = fire on every hit):
 //   spec   := entry (',' entry)*
 //   entry  := name '=' action [':' count]
-//   action := throw_bad_alloc | throw_deadline | throw_resource | fail_io
-//           | delay_ms(N)
+//   action := throw_bad_alloc | throw_deadline | fail_io | delay_ms(N)
 //
 // Every fire (a hit that performs its action) adds one to the
 // `failpoint.fired` counter; hits on unarmed or spent names do not count.
@@ -43,7 +42,6 @@ namespace cfpm::failpoint {
 enum class Action : std::uint8_t {
   kThrowBadAlloc,  ///< throw std::bad_alloc
   kThrowDeadline,  ///< throw cfpm::DeadlineExceeded
-  kThrowResource,  ///< throw cfpm::ResourceError
   kDelayMs,        ///< sleep for the armed number of milliseconds
   kFailIo,         ///< throw cfpm::IoError
 };

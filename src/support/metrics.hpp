@@ -14,7 +14,7 @@
 //    dd.node.alloc / dd.cache.hit / dd.cache.miss).
 //
 // Metric names follow `subsystem.noun.verb` (e.g. "dd.gc.run",
-// "power.build.rung") and must be string literals or otherwise outlive the
+// "power.build.fallback") and must be string literals or otherwise outlive the
 // process; handles are cheap and typically function-local statics:
 //
 //   static const metrics::Counter c_gc("dd.gc.run");

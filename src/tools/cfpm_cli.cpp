@@ -67,14 +67,17 @@ using namespace cfpm;
 // readable. 6 (Server::kExitSignal) is the daemon's signal-initiated clean
 // drain.
 //  0 clean, 1 runtime error (cfpm::Error), 2 usage, 3 completed but
-//  degraded (build walked the degradation ladder), 4 out of memory,
-//  5 internal error (unexpected std::exception), 6 daemon stopped by
-//  SIGINT/SIGTERM after a clean drain.
+//  degraded (the deadline expired and a constant model was built), 4 out
+//  of memory, 5 internal error (unexpected std::exception), 6 daemon
+//  stopped by SIGINT/SIGTERM after a clean drain.
 constexpr int kExitOk = service::exit_code(service::StatusCode::kOk);
 constexpr int kExitError = service::exit_code(service::StatusCode::kError);
 constexpr int kExitUsage = service::exit_code(service::StatusCode::kUsage);
 constexpr int kExitDegraded =
     service::exit_code(service::StatusCode::kDegraded);
+
+/// Largest --threads value accepted.
+constexpr std::size_t kMaxThreads = 256;
 
 int usage() {
   std::cerr <<
@@ -111,20 +114,20 @@ int usage() {
       "parity, pcle, x1, x2.\n"
       "\n"
       "--threads N shards trace evaluation (estimate, chip, serve) over a\n"
-      "pool of N threads (0 = all hardware threads); results are\n"
-      "bit-identical for any N.\n"
+      "pool of N threads (0 = all hardware threads; at most 256); results\n"
+      "are bit-identical for any N.\n"
       "chip builds a composed chip: --spec CxBxM instantiates C blocks of B\n"
       "macros from a generated library over M bus bits per block; sibling\n"
       "macros share bus bits. --trace FILE evaluates a text bit-matrix\n"
       "trace instead of the seeded workload.\n"
       "--compiled prints compiled-evaluator diagnostics and throughput.\n"
       "--deadline-ms N bounds model construction by wall clock; on expiry\n"
-      "the build degrades (harder approximation, then a constant bound)\n"
-      "instead of running unbounded. --no-degrade fails fast instead.\n"
+      "the build falls back to a constant bound instead of running\n"
+      "unbounded. --no-degrade fails fast instead.\n"
       "--failpoints SPEC arms fault-injection points for this run:\n"
       "  name=action[:count][,name=action[:count]...]\n"
-      "with action one of throw_bad_alloc, throw_deadline, throw_resource,\n"
-      "delay_ms(N), fail_io (count 0 = fire forever; default once).\n"
+      "with action one of throw_bad_alloc, throw_deadline, delay_ms(N),\n"
+      "fail_io (count 0 = fire forever; default once).\n"
       "--metrics-json PATH writes the pipeline metrics snapshot (counters,\n"
       "gauges, histograms) as JSON on exit, whatever the outcome.\n"
       "--trace-json PATH records phase spans and writes Chrome trace_event\n"
@@ -327,7 +330,14 @@ std::optional<Args> parse(int argc, char** argv) {
         return false;
       }();
     } else if (flag == "--threads") {
-      ok = number(a.threads);
+      // Checked here, before any pool exists: a pool spawns every thread
+      // it is asked for.
+      ok = number(a.threads) && [&] {
+        if (a.threads <= kMaxThreads) return true;
+        std::cerr << "value of --threads must be at most " << kMaxThreads
+                  << ", got " << a.threads << "\n";
+        return false;
+      }();
     } else if (flag == "--compiled") {
       ok = boolean(a.compiled, true);
     } else if (flag == "--deadline-ms") {
@@ -410,21 +420,14 @@ int cmd_info(const Args& a) {
   return 0;
 }
 
-/// Prints the degradation rungs a build took (if any) and maps the outcome
-/// to an exit code: a degraded/fallback model is usable but must be
-/// distinguishable from a clean one by scripts.
+/// Prints why a build fell back (if it did) and maps the outcome to an
+/// exit code: a fallback model is usable but must be distinguishable from a
+/// clean one by scripts.
 int report_build_outcome(const power::AddModelBuildInfo& info) {
   if (info.outcome == power::BuildOutcome::kClean) return kExitOk;
-  std::cout << "DEGRADED: "
-            << (info.outcome == power::BuildOutcome::kFallback
-                    ? "constant fallback estimator"
-                    : "built via degradation ladder")
-            << " (" << info.attempts << " attempts)\n";
-  for (const auto& rung : info.rungs) {
-    std::cout << "  rung  : " << rung.action;
-    if (rung.max_nodes != 0) std::cout << " (MAX " << rung.max_nodes << ")";
-    std::cout << " after: " << rung.reason << "\n";
-  }
+  std::cout << "DEGRADED: constant fallback estimator\n"
+            << "  rung  : fallback-constant after: " << info.fallback_reason
+            << "\n";
   const metrics::Snapshot snap = metrics::snapshot();
   std::cout << "  spent : " << snap.counter("dd.node.alloc")
             << " node allocs, " << snap.counter("deadline.check.run")
@@ -663,8 +666,6 @@ const char* outcome_name(power::BuildOutcome outcome) {
   switch (outcome) {
     case power::BuildOutcome::kClean:
       return "clean";
-    case power::BuildOutcome::kDegraded:
-      return "degraded";
     case power::BuildOutcome::kFallback:
       return "fallback";
   }
@@ -739,6 +740,8 @@ int print_chip_reply(const Args& a, const service::ChipReply& r,
               << 2 * r.library.size() << " macro models from registry\n";
   }
   if (r.status == service::StatusCode::kDegraded) {
+    // Worded before the constant fallback became the only degradation;
+    // kept as is so chip output stays byte-stable across versions.
     std::cout << "DEGRADED: at least one macro built via the degradation "
                  "ladder (see build column)\n";
     return kExitDegraded;

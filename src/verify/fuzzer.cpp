@@ -59,17 +59,14 @@ std::string sample_fault_spec(std::uint64_t iter_seed) {
     const char* site =
         kFaultSites[rng.next_below(std::size(kFaultSites))];
     std::string action;
-    switch (rng.next_below(5)) {
+    switch (rng.next_below(4)) {
       case 0:
         action = "throw_bad_alloc";
         break;
       case 1:
-        action = "throw_resource";
-        break;
-      case 2:
         action = "throw_deadline";
         break;
-      case 3:
+      case 2:
         action = "fail_io";
         break;
       default:

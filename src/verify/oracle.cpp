@@ -87,10 +87,10 @@ power::AddModelOptions sampled_options(Xoshiro256& rng, std::size_t max_nodes,
                                  : power::VariableOrder::kBlocked;
   opt.reorder_passes = static_cast<unsigned>(rng.next_below(3));
   opt.approximate_during_construction = rng.next_bool(0.8);
-  // Invariant checks must see the model the options ask for, not a
-  // degraded stand-in; resource/deadline errors propagate to the driver.
+  // Invariant checks must see the model the options ask for, not the
+  // constant fallback; deadline errors propagate to the driver.
   opt.degrade = false;
-  opt.dd_config.deadline = ctx.deadline;
+  opt.deadline = ctx.deadline;
   return opt;
 }
 

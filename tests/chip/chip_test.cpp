@@ -1,7 +1,7 @@
 // Chip composition tests: spec parsing, tree topology, sibling bus-bit
 // sharing, bitwise agreement between composed node totals and the sharded
 // evaluator, conservative-bound tightness, shard-count determinism, §9
-// ladder surfacing, and the service facade's chip entry points.
+// fallback surfacing, and the service facade's chip entry points.
 #include "chip/chip.hpp"
 
 #include <gtest/gtest.h>
@@ -335,7 +335,7 @@ TEST(ChipEvaluator, OneInstanceDesignEqualsEstimateTraceBitwise) {
 
 TEST(ChipBuild, ExpiredDeadlineSurfacesLadderDegradation) {
   ChipBuildOptions options;
-  options.deadline_ms = 0;  // already expired: every macro rides the ladder
+  options.deadline_ms = 0;  // already expired: every macro falls back
   const Chip c = build_chip(ChipSpec::parse("2x2x8"), options);
   EXPECT_TRUE(c.degraded());
   for (const MacroBuildReport& m : c.library()) {

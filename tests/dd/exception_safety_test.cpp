@@ -1,14 +1,15 @@
-// Exception-safety regression tests for DdManager: a ResourceError (node
-// budget) or an injected allocation fault (the `dd.allocate_node`
-// failpoint) thrown from the middle of an apply must leave the manager
+// Exception-safety regression tests for DdManager: an allocation fault
+// (injected through the `dd.allocate_node` failpoint as std::bad_alloc)
+// thrown from the middle of an apply must leave the manager
 // fully usable -- unique table consistent with the reference counts,
 // garbage collectible, and able to complete the same construction
 // afterwards.
 #include <gtest/gtest.h>
 
+#include <new>
+
 #include "dd/approx.hpp"
 #include "dd/manager.hpp"
-#include "support/error.hpp"
 #include "support/failpoint.hpp"
 
 namespace cfpm::dd {
@@ -31,9 +32,9 @@ void expect_table_consistent(const DdManager& mgr) {
   EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes() + mgr.dead_nodes());
 }
 
-/// Arms a one-shot ResourceError at the next node allocation.
+/// Arms a one-shot std::bad_alloc at the next node allocation.
 void arm_allocation_fault() {
-  failpoint::arm_from_spec("dd.allocate_node=throw_resource:1");
+  failpoint::arm_from_spec("dd.allocate_node=throw_bad_alloc:1");
 }
 
 /// Builds the first `prefix` terms of weighted_sum, arms the allocation
@@ -44,7 +45,7 @@ void fault_inside_apply(DdManager& mgr, std::uint32_t prefix) {
   const Add term =
       Add(mgr.bdd_var(prefix)).times(static_cast<double>(1u << prefix));
   arm_allocation_fault();
-  EXPECT_THROW(partial + term, ResourceError) << "prefix " << prefix;
+  EXPECT_THROW(partial + term, std::bad_alloc) << "prefix " << prefix;
 }
 
 class ExceptionSafety : public ::testing::Test {
@@ -54,18 +55,17 @@ class ExceptionSafety : public ::testing::Test {
 };
 
 TEST_F(ExceptionSafety, NodeBudgetThrowMidApplyLeavesManagerUsable) {
-  DdConfig config;
-  config.max_nodes = 400;
-  config.gc_min_dead = 16;  // keep GC active at this tiny scale
-  DdManager mgr(16, config);
+  DdManager mgr(16);
 
   Add survivor = weighted_sum(mgr, 4);  // small; completes comfortably
-  EXPECT_THROW(weighted_sum(mgr, 16), ResourceError);
+  // A fault deep in a large construction: adding the 13th term to a sum
+  // with 4096 leaves.
+  fault_inside_apply(mgr, 12);
 
   // The failed construction's intermediates were dereferenced on unwind.
   expect_table_consistent(mgr);
 
-  // The handle built before the blow-up is intact and evaluable.
+  // The handle built before the fault is intact and evaluable.
   std::vector<std::uint8_t> assignment(16, 1);
   EXPECT_DOUBLE_EQ(survivor.eval(assignment), 15.0);
 
@@ -83,7 +83,7 @@ TEST_F(ExceptionSafety, NodeBudgetThrowMidApplyLeavesManagerUsable) {
 TEST_F(ExceptionSafety, AllocationFaultFiresOnceAtTheNextAllocation) {
   DdManager mgr(2);
   arm_allocation_fault();
-  EXPECT_THROW(mgr.constant(42.0), ResourceError);
+  EXPECT_THROW(mgr.constant(42.0), std::bad_alloc);
   EXPECT_TRUE(failpoint::armed().empty());
   expect_table_consistent(mgr);
   EXPECT_DOUBLE_EQ(mgr.constant(42.0).max_value(), 42.0);
@@ -116,7 +116,8 @@ TEST_F(ExceptionSafety, ThrowDuringApproximationRebuild) {
   DdManager gmgr(12);
   Add g = weighted_sum(gmgr, 12);
   arm_allocation_fault();
-  EXPECT_THROW(approximate_to(g, 64, ApproxMode::kUpperBound), ResourceError);
+  EXPECT_THROW(approximate_to(g, 64, ApproxMode::kUpperBound),
+               std::bad_alloc);
   EXPECT_EQ(gmgr.unique_table_nodes(),
             gmgr.live_nodes() + gmgr.dead_nodes());
 

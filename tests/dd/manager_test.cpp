@@ -107,22 +107,6 @@ TEST(DdManager, ResurrectionAfterDeath) {
   EXPECT_TRUE(g.eval(assign));
 }
 
-TEST(DdManager, NodeBudgetThrowsResourceError) {
-  DdConfig config;
-  config.max_nodes = 16;
-  DdManager mgr(20, config);
-  Bdd f = mgr.bdd_one();
-  EXPECT_THROW(
-      {
-        for (std::uint32_t v = 0; v < 20; ++v) {
-          f = f ^ mgr.bdd_var(v);  // parity needs a node per variable
-          Bdd keep = f & mgr.bdd_var(0);
-          f = f | keep;  // force growth beyond the budget
-        }
-      },
-      ResourceError);
-}
-
 /// Allocates fresh terminals until the manager throws DeadlineExceeded and
 /// returns how many allocations succeeded first.
 std::size_t allocations_until_deadline(DdManager& mgr) {
@@ -138,9 +122,7 @@ std::size_t allocations_until_deadline(DdManager& mgr) {
 }
 
 TEST(DdManager, ZeroDeadlineStopsAllocationWithinCheckInterval) {
-  DdConfig config;
-  config.deadline = deadline_after(0);
-  DdManager mgr(2, config);
+  DdManager mgr(2, deadline_after(0));
   EXPECT_LT(allocations_until_deadline(mgr), kDeadlineCheckInterval);
   EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes() + mgr.dead_nodes());
 
@@ -152,10 +134,8 @@ TEST(DdManager, ZeroDeadlineStopsAllocationWithinCheckInterval) {
 }
 
 TEST(DdManager, DeadlineNeverFiresInsideALevelSwap) {
-  DdConfig config;
-  config.deadline = deadline_after(0);
   constexpr std::uint32_t kVars = 6;
-  DdManager mgr(kVars, config);
+  DdManager mgr(kVars, deadline_after(0));
   // f = sum_k 2^k x_k: one terminal per assignment, built in far fewer than
   // kDeadlineCheckInterval allocations, so no check has run yet.
   Add f = mgr.constant(0.0);

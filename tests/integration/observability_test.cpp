@@ -25,7 +25,7 @@ TEST(Observability, PipelineLeavesCountersInEverySubsystem) {
 
   power::AddModelOptions opt;
   opt.max_nodes = 200;
-  opt.dd_config.deadline = deadline_after(60 * 60 * 1000);
+  opt.deadline = deadline_after(60 * 60 * 1000);
   const auto model = power::AddPowerModel::build(n, lib, opt);
 
   eval::EvalOptions options;

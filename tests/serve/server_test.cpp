@@ -198,14 +198,14 @@ TEST(ServeErrors, TooFewVectorsIsAUsageReplyAndTheConnectionSurvives) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_NE(client.ping().find("version 3"), std::string::npos);
+  EXPECT_NE(client.ping().find("version 4"), std::string::npos);
 }
 
 TEST(ServeLifecycle, PingReportsVersionAndClientShutdownExitsZero) {
   ScopedServer daemon("lifecycle");
   {
     Client client = connect_with_retry(daemon.socket_path);
-    EXPECT_NE(client.ping().find("version 3"), std::string::npos);
+    EXPECT_NE(client.ping().find("version 4"), std::string::npos);
     client.shutdown_server();
   }
   daemon.join();
@@ -301,8 +301,8 @@ TEST(ServeErrors, FailedBuildIsNotCachedAndARetryBuilds) {
   Client client = connect_with_retry(daemon.socket_path);
   const service::BuildRequest request = c17_request();
 
-  failpoint::arm_from_spec("serve.build=throw_resource:1");
-  EXPECT_THROW((void)client.build(request), ResourceError);
+  failpoint::arm_from_spec("serve.build=throw_deadline:1");
+  EXPECT_THROW((void)client.build(request), DeadlineExceeded);
   failpoint::disarm_all();
   EXPECT_EQ(client.stats().models, 0u) << "a failed build was admitted";
 

@@ -31,7 +31,6 @@ TEST(ServiceErrors, ClassifyMapsTypesToKindsAndCodes) {
   EXPECT_EQ(classify_of(UsageError("x")).code, StatusCode::kUsage);
   EXPECT_EQ(classify_of(ParseError("x")).kind, ErrorKind::kParse);
   EXPECT_EQ(classify_of(IoError("x")).kind, ErrorKind::kIo);
-  EXPECT_EQ(classify_of(ResourceError("x")).kind, ErrorKind::kResource);
   EXPECT_EQ(classify_of(DeadlineExceeded("x")).kind, ErrorKind::kDeadline);
   EXPECT_EQ(classify_of(std::bad_alloc()).kind, ErrorKind::kOom);
   EXPECT_EQ(classify_of(std::bad_alloc()).code, StatusCode::kOom);
@@ -45,7 +44,6 @@ TEST(ServiceErrors, RethrowResurrectsTheTypedException) {
                DeadlineExceeded);
   EXPECT_THROW(rethrow(classify_of(ParseError("bad"))), ParseError);
   EXPECT_THROW(rethrow(classify_of(IoError("io"))), IoError);
-  EXPECT_THROW(rethrow(classify_of(ResourceError("mem"))), ResourceError);
   EXPECT_THROW(rethrow(classify_of(UsageError("use"))), UsageError);
   EXPECT_THROW(rethrow(classify_of(std::bad_alloc())), std::bad_alloc);
   try {

@@ -252,7 +252,7 @@ TEST(Wire, ChipReplyRoundTripsBreakdownExactly) {
   reply.worst_case_sum_ff = 588.25;
   reply.cache_hits = 4;
   reply.library = {{"add4", 2, 9, 1939, 1939, power::BuildOutcome::kClean,
-                    power::BuildOutcome::kDegraded, true},
+                    power::BuildOutcome::kFallback, true},
                    {"cmp4", 4, 8, 2390, 2390, power::BuildOutcome::kFallback,
                     power::BuildOutcome::kClean, false}};
   reply.blocks = {{"b0", 1.5}, {"b1", 2.25}};
@@ -311,15 +311,33 @@ TEST(Wire, MalformedPayloadsThrowParseError) {
   std::string encoded = encode_chip_reply(reply);
   const std::size_t pos = encoded.find("macro add4");
   ASSERT_NE(pos, std::string::npos);
-  encoded.replace(encoded.find(" 0 0 ", pos), 5, " 9 0 ");
+  const std::size_t outcomes = encoded.find(" 0 0 ", pos);
+  encoded.replace(outcomes, 5, " 9 0 ");
   EXPECT_THROW(decode_chip_reply(encoded), ParseError);
+  // Outcome 1 is retired (a model rebuilt under a smaller budget).
+  encoded.replace(outcomes, 5, " 1 0 ");
+  EXPECT_THROW(decode_chip_reply(encoded), ParseError);
+
+  service::BuildReply build;
+  build.build_info.outcome = power::BuildOutcome::kFallback;
+  std::string encoded_build = encode_build_reply(build);
+  EXPECT_EQ(decode_build_reply(encoded_build).build_info.outcome,
+            power::BuildOutcome::kFallback);
+  const std::size_t outcome = encoded_build.find("outcome 2\n");
+  ASSERT_NE(outcome, std::string::npos);
+  encoded_build.replace(outcome, 9, "outcome 1");
+  EXPECT_THROW(decode_build_reply(encoded_build), ParseError);
 }
 
 TEST(Wire, RetiredErrorKindIsRejected) {
-  // Kind 6 carried a cancellation error that no longer exists; its
-  // neighbours keep their codes, so retiring it did not bump the protocol
-  // version (version 3 is the payloads dropping their `version` line).
+  // Kinds 4 and 6 carried a node-budget error and a cancellation error
+  // that no longer exist; their neighbours keep their codes, so retiring
+  // them did not bump the protocol version (version 4 is the build reply
+  // dropping its `attempts` line).
+  EXPECT_THROW(decode_error("code 1\nkind 4\nmessage 1\nx"), ParseError);
   EXPECT_THROW(decode_error("code 1\nkind 6\nmessage 1\nx"), ParseError);
+  EXPECT_EQ(decode_error("code 1\nkind 3\nmessage 1\nx").kind,
+            service::ErrorKind::kIo);
   EXPECT_EQ(decode_error("code 1\nkind 5\nmessage 1\nx").kind,
             service::ErrorKind::kDeadline);
   EXPECT_EQ(decode_error("code 4\nkind 7\nmessage 1\nx").kind,
@@ -327,7 +345,7 @@ TEST(Wire, RetiredErrorKindIsRejected) {
   EXPECT_EQ(decode_error("code 5\nkind 8\nmessage 1\nx").kind,
             service::ErrorKind::kInternal);
   EXPECT_THROW(decode_error("code 1\nkind 9\nmessage 1\nx"), ParseError);
-  EXPECT_EQ(kProtocolVersion, 3);
+  EXPECT_EQ(kProtocolVersion, 4);
 }
 
 TEST(Wire, WriteToClosedSocketPeerThrowsInsteadOfRaisingSigpipe) {

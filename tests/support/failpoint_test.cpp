@@ -28,8 +28,6 @@ TEST_F(Failpoint, ActionsThrowTheirTypedExceptions) {
   EXPECT_THROW(hit("fp.alloc"), std::bad_alloc);
   arm("fp.deadline", Action::kThrowDeadline);
   EXPECT_THROW(hit("fp.deadline"), DeadlineExceeded);
-  arm("fp.resource", Action::kThrowResource);
-  EXPECT_THROW(hit("fp.resource"), ResourceError);
   arm("fp.io", Action::kFailIo);
   EXPECT_THROW(hit("fp.io"), IoError);
 }
@@ -61,9 +59,9 @@ std::uint64_t fired_count() {
 TEST_F(Failpoint, TotalFiresCountsActionsNotHits) {
   const std::uint64_t before = fired_count();
   hit("fp.unarmed");  // no action, no fire
-  arm("fp.count", Action::kThrowResource, 2);
-  EXPECT_THROW(hit("fp.count"), ResourceError);
-  EXPECT_THROW(hit("fp.count"), ResourceError);
+  arm("fp.count", Action::kThrowDeadline, 2);
+  EXPECT_THROW(hit("fp.count"), DeadlineExceeded);
+  EXPECT_THROW(hit("fp.count"), DeadlineExceeded);
   hit("fp.count");  // spent
   EXPECT_EQ(fired_count(), before + 2);
 }
@@ -103,6 +101,7 @@ TEST_F(Failpoint, MalformedSpecsThrowAndArmNothing) {
            "a=delay_ms(12",             // unterminated parens
            "",                          // nothing to arm
            "a=fail_io,b=bogus",         // one bad entry poisons the spec
+           "x=throw_resource",          // retired action
        }) {
     EXPECT_THROW(arm_from_spec(bad), Error) << bad;
     EXPECT_TRUE(armed().empty()) << "partial arm from '" << bad << "'";

@@ -64,9 +64,9 @@ TEST_F(AtomicWrite, WriterExceptionPreservesTargetAndRemovesTemp) {
   EXPECT_THROW(atomic_write_file(path_,
                                  [](std::ostream& os) {
                                    os << "partial";
-                                   throw ResourceError("writer died");
+                                   throw IoError("writer died");
                                  }),
-               ResourceError);
+               IoError);
   EXPECT_EQ(slurp(path_), "precious\n");
   EXPECT_FALSE(exists(path_ + ".tmp"));
 }

@@ -325,6 +325,21 @@ TEST(Cli, NonNumericThreadsIsAUsageError) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
+TEST(Cli, ThreadCountAboveTheCapIsAUsageError) {
+  // Rejected while parsing, before any pool (which would spawn every
+  // thread asked for) exists.
+  for (const char* cmd : {"estimate model.cfpm --threads 100000",
+                          "chip --spec 2x3x12 --threads=100000",
+                          "serve --socket S --threads 100000",
+                          "estimate model.cfpm --threads 257"}) {
+    const auto r = run(cmd);
+    EXPECT_EQ(r.exit_code, 2) << cmd << "\n" << r.output;
+    EXPECT_NE(r.output.find("--threads must be at most 256"),
+              std::string::npos)
+        << cmd << "\n" << r.output;
+  }
+}
+
 TEST(Cli, NegativeVectorsIsAUsageErrorNotAWrapAround) {
   for (const char* form : {"--vectors -1", "--vectors=-1"}) {
     const auto r = run(std::string("table1 ") + form);
