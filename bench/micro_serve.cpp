@@ -9,7 +9,9 @@
 #include <memory>
 #include <vector>
 
-#include "power/baselines.hpp"
+#include "netlist/generators.hpp"
+#include "netlist/library.hpp"
+#include "power/add_model.hpp"
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
 #include "support/rng.hpp"
@@ -17,6 +19,15 @@
 namespace {
 
 using namespace cfpm;
+
+/// The model every benchmark entry carries: registry cost does not depend
+/// on what the entry points at, so one small ADD model is shared by all.
+std::shared_ptr<const power::AddPowerModel> c17_model() {
+  static const auto model = std::make_shared<const power::AddPowerModel>(
+      power::AddPowerModel::build(netlist::gen::c17(),
+                                  netlist::GateLibrary::standard()));
+  return model;
+}
 
 std::vector<std::uint64_t> random_keys(std::size_t n) {
   SplitMix64 rng(0x5eedu + n);
@@ -37,7 +48,7 @@ serve::Registry& filled_registry(std::size_t entries) {
   for (const std::uint64_t key : keys) {
     serve::Registry::Entry e;
     e.id = {key, key ^ 0x5a5a5a5a5a5a5a5aull};
-    e.model = std::make_shared<power::ConstantModel>(1.0, 4);
+    e.model = c17_model();
     e.circuit = "bench";
     registry->admit(std::move(e));
   }
@@ -82,12 +93,12 @@ void BM_RegistryAdmit(benchmark::State& state) {
     for (const std::uint64_t key : keys) {
       serve::Registry::Entry e;
       e.id = {key, key ^ 0x5a5a5a5a5a5a5a5aull};
-      e.model = std::make_shared<power::ConstantModel>(1.0, 4);
+      e.model = c17_model();
       registry->admit(std::move(e));
     }
     serve::Registry::Entry e;
     e.id = {0x0123456789abcdefull, 1};
-    e.model = std::make_shared<power::ConstantModel>(1.0, 4);
+    e.model = c17_model();
     state.ResumeTiming();
     registry->admit(std::move(e));
     state.PauseTiming();

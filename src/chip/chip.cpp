@@ -1,6 +1,7 @@
 #include "chip/chip.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "netlist/generators.hpp"
 #include "support/assert.hpp"
@@ -72,6 +73,13 @@ ChipSpec ChipSpec::parse(std::string_view text) {
   if (parts[2] < 4) {
     throw Error("bad chip spec '" + std::string(text) +
                      "' (need at least 4 bus bits per block)");
+  }
+  // The chip bus (C·M bits) and the leaf count (C·B) are products of the
+  // counts; one that wraps size_t would describe a different, smaller chip.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (parts[1] > kMax / parts[0] || parts[2] > kMax / parts[0]) {
+    throw Error("bad chip spec '" + std::string(text) +
+                "' (C*B macros or C*M bus bits overflow)");
   }
   return ChipSpec{parts[0], parts[1], parts[2]};
 }

@@ -44,8 +44,8 @@ struct ModelOptions {
 };
 
 /// Builds a power model of the requested kind for `n`. ADD kinds may throw
-/// what AddPowerModel::build throws (deadline or resource exhaustion with
-/// degradation disabled); callers needing the degradation report can
+/// what AddPowerModel::build throws (an expired deadline with degradation
+/// disabled, or std::bad_alloc); callers needing the degradation report can
 /// dynamic_cast the result to AddPowerModel and read build_info().
 std::unique_ptr<PowerModel> make_model(ModelKind kind,
                                        const netlist::Netlist& n,

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "power/add_model.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
@@ -36,9 +35,9 @@ std::string collision_message(const service::ModelId& requested,
 
 }  // namespace
 
-std::shared_ptr<const power::PowerModel> Registry::lookup(
+std::shared_ptr<const power::AddPowerModel> Registry::lookup(
     const service::ModelId& id) const {
-  std::shared_ptr<const power::PowerModel> model;
+  std::shared_ptr<const power::AddPowerModel> model;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = by_key_.find(id.key);
@@ -84,7 +83,6 @@ std::vector<Registry::Entry> Registry::entries() const {
 
 void Registry::save(const std::string& dir) const {
   static const metrics::Counter c_saved("serve.persist.saved");
-  static const metrics::Counter c_skipped("serve.persist.skipped");
   CFPM_FAILPOINT("serve.persist");
   const std::vector<Entry> snapshot = entries();
   std::error_code ec;
@@ -96,15 +94,9 @@ void Registry::save(const std::string& dir) const {
   std::ostringstream manifest;
   manifest << kManifestMagic << "\n";
   for (const Entry& e : snapshot) {
-    const auto* add = dynamic_cast<const power::AddPowerModel*>(e.model.get());
-    if (add == nullptr) {
-      // Con/Lin baselines have no serializer; they rebuild in milliseconds.
-      c_skipped.add();
-      continue;
-    }
     const std::string file = e.id.to_hex() + ".cfpm";
     atomic_write_file(dir + "/" + file,
-                      [&](std::ostream& os) { add->save(os); });
+                      [&](std::ostream& os) { e.model->save(os); });
     manifest << "model " << e.id.to_hex() << " " << e.nodes << " "
              << e.circuit << "\n";
     c_saved.add();

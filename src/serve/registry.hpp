@@ -29,7 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "power/power_model.hpp"
+#include "power/add_model.hpp"
 #include "serve/service.hpp"
 
 namespace cfpm::serve {
@@ -38,9 +38,9 @@ class Registry {
  public:
   struct Entry {
     service::ModelId id;
-    std::shared_ptr<const power::PowerModel> model;
+    std::shared_ptr<const power::AddPowerModel> model;
     std::string circuit;     ///< display name (stats query)
-    std::size_t nodes = 0;   ///< ADD size (0 for non-ADD kinds)
+    std::size_t nodes = 0;   ///< ADD node count
   };
 
   Registry() = default;
@@ -52,7 +52,7 @@ class Registry {
   /// Throws cfpm::Error when the primary key is admitted but the check
   /// hash differs (64-bit content-hash collision — serving would return
   /// the wrong model). Counts `registry.lookup.hit` / `registry.lookup.miss`.
-  std::shared_ptr<const power::PowerModel> lookup(
+  std::shared_ptr<const power::AddPowerModel> lookup(
       const service::ModelId& id) const;
 
   /// Admits a model. Idempotent: re-admitting an
@@ -66,10 +66,8 @@ class Registry {
   /// Stable snapshot of the admitted entries, in admission order.
   std::vector<Entry> entries() const;
 
-  /// Persists every serializable entry into `dir` (created if missing):
-  /// <hex-id>.cfpm model files + MANIFEST, each written atomically.
-  /// Entries whose model kind has no serializer (Con/Lin baselines) are
-  /// skipped and counted in `serve.persist.skipped`. Failpoint:
+  /// Persists every entry into `dir` (created if missing): <hex-id>.cfpm
+  /// model files + MANIFEST, each written atomically. Failpoint:
   /// `serve.persist`.
   void save(const std::string& dir) const;
 

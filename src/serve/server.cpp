@@ -294,15 +294,13 @@ service::BuildReply Server::build_model(const service::BuildRequest& request) {
 
   // A cache hit performs zero construction work — that is the asserted
   // contract (`serve.cache.hit` rises, `serve.build.count` does not).
-  const auto hit_reply = [&](std::shared_ptr<const power::PowerModel> model) {
+  const auto hit_reply =
+      [&](std::shared_ptr<const power::AddPowerModel> model) {
     c_cache_hit().add();
     service::BuildReply reply;
     reply.id = id;
     reply.cache_hit = true;
-    if (const auto* add =
-            dynamic_cast<const power::AddPowerModel*>(model.get())) {
-      reply.model_nodes = add->size();
-    }
+    reply.model_nodes = model->size();
     reply.model = std::move(model);
     return reply;
   };
@@ -353,7 +351,10 @@ service::BuildReply Server::build_model(const service::BuildRequest& request) {
     if (result.status == service::StatusCode::kOk) {
       Registry::Entry entry;
       entry.id = id;
-      entry.model = result.model;
+      // service::build(BuildRequest) builds ADD kinds only, so the cast
+      // holds; were it ever null, admit() rejects it (ContractError).
+      entry.model =
+          std::dynamic_pointer_cast<const power::AddPowerModel>(result.model);
       entry.circuit = request.netlist.name();
       entry.nodes = result.model_nodes;
       registry_.admit(std::move(entry));

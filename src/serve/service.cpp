@@ -116,18 +116,17 @@ ModelId model_id(const netlist::Netlist& n, const BuildOptions& o) {
   netlist::write_bench(text, n);
   const std::string canon = text.str();
 
+  // Retired slots, mixed as the constants every request now carries: the
+  // variable order (0, interleaved), reorder passes (2), approximation
+  // during construction (1), the serial/parallel construction bit (0) and
+  // the Con/Lin characterization workload (10000 vectors, seed 0xc0ffee).
+  // Mixing them keeps every ModelId (and every persisted registry) from
+  // before valid.
+  static constexpr std::uint64_t kRetired[] = {0, 2, 1, 0, 10000, 0xc0ffee};
   auto fingerprint = [&](std::uint64_t h) {
     h = fnv1a_64_mix(h, static_cast<std::uint64_t>(o.kind));
     h = fnv1a_64_mix(h, o.max_nodes);
-    h = fnv1a_64_mix(h, static_cast<std::uint64_t>(o.order));
-    h = fnv1a_64_mix(h, o.reorder_passes);
-    h = fnv1a_64_mix(h, o.approximate_during_construction ? 1 : 0);
-    // Retired slot: it held a serial/parallel construction bit, 0 for the
-    // serial build that is now the only one. Mixing the constant keeps
-    // every ModelId (and every persisted registry) from before valid.
-    h = fnv1a_64_mix(h, 0);
-    h = fnv1a_64_mix(h, o.characterization_vectors);
-    h = fnv1a_64_mix(h, o.characterization_seed);
+    for (const std::uint64_t v : kRetired) h = fnv1a_64_mix(h, v);
     return h;
   };
   ModelId id;
@@ -147,14 +146,9 @@ power::ModelOptions to_model_options(const BuildOptions& o,
   mo.add.mode = o.kind == power::ModelKind::kAddUpperBound
                     ? dd::ApproxMode::kUpperBound
                     : dd::ApproxMode::kAverage;
-  mo.add.order = o.order;
-  mo.add.reorder_passes = o.reorder_passes;
-  mo.add.approximate_during_construction = o.approximate_during_construction;
   mo.add.degrade = o.degrade;
   mo.add.deadline = deadline_after(o.deadline_ms);
   mo.library = library;
-  mo.characterization_vectors = o.characterization_vectors;
-  mo.characterization_seed = o.characterization_seed;
   return mo;
 }
 
@@ -177,8 +171,14 @@ BuildReply build(const netlist::Netlist& n, power::ModelKind kind,
 }
 
 BuildReply build(const BuildRequest& request) {
-  BuildReply reply = build(request.netlist, request.options.kind,
-                           to_model_options(request.options));
+  const power::ModelKind kind = request.options.kind;
+  if (kind != power::ModelKind::kAddAverage &&
+      kind != power::ModelKind::kAddUpperBound) {
+    throw UsageError("build requests serve ADD models only, got kind " +
+                     std::to_string(static_cast<unsigned>(kind)));
+  }
+  BuildReply reply =
+      build(request.netlist, kind, to_model_options(request.options));
   reply.id = model_id(request.netlist, request.options);
   return reply;
 }

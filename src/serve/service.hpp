@@ -125,28 +125,22 @@ struct ModelId {
 // Requests / replies
 // ---------------------------------------------------------------------------
 
-/// Build knobs a request may carry — the serializable subset of
-/// power::ModelOptions (a time point cannot cross a socket; deadlines
-/// travel as milliseconds and become a time point server-side). Two
-/// requests with equal netlist content and equal *model-shaping* knobs
-/// (kind, max_nodes, order, reorder_passes,
-/// approximate_during_construction, characterization workload) share a
-/// ModelId; resilience knobs (degrade, deadline_ms) do not shape a clean
-/// model and are excluded from the id.
+/// Build knobs a request may carry: the ones a front end sets. A request
+/// builds an ADD model (kind kAddAverage or kAddUpperBound); every other
+/// builder setting keeps its AddModelOptions default. Deadlines travel as
+/// milliseconds, because a time point cannot cross a socket, and become a
+/// time point server-side. Two requests with equal netlist content and
+/// equal *model-shaping* knobs (kind, max_nodes) share a ModelId;
+/// resilience knobs (degrade, deadline_ms) do not shape a clean model and
+/// are excluded from the id.
 struct BuildOptions {
   power::ModelKind kind = power::ModelKind::kAddAverage;
   std::size_t max_nodes = 1000;
-  power::VariableOrder order = power::VariableOrder::kInterleaved;
-  unsigned reorder_passes = 2;
-  bool approximate_during_construction = true;
   bool degrade = true;
   /// Unused: nothing reads it. Kept only because the benchmark sources
   /// assign it; the next change to the benchmark removes it.
   std::size_t build_threads = 1;
   std::optional<std::size_t> deadline_ms;
-  /// Characterized baselines (Con/Lin) only.
-  std::size_t characterization_vectors = 10000;
-  std::uint64_t characterization_seed = 0xc0ffee;
 };
 
 struct BuildRequest {
@@ -248,16 +242,18 @@ power::ModelOptions to_model_options(
     const netlist::GateLibrary& library = netlist::GateLibrary::standard());
 
 /// Content address of the model a request would build (canonical .bench
-/// text of the netlist + the model-shaping option fingerprint).
+/// text of the netlist + the model-shaping option fingerprint: kind and
+/// max_nodes).
 ModelId model_id(const netlist::Netlist& n, const BuildOptions& options);
 
-/// Builds the requested model. Sets a deadline when the request carries
+/// Builds the requested ADD model. Sets a deadline when the request carries
 /// one, and reports a build that fell back to the constant model as status
-/// kDegraded. Throws typed errors.
+/// kDegraded. Throws UsageError for a non-ADD kind, and typed errors.
 BuildReply build(const BuildRequest& request);
 
 /// Rich in-process form for callers that already hold ModelOptions (the
-/// fuzzer's sampled scenarios): same construction path, no content id.
+/// fuzzer's sampled scenarios, and the Con/Lin baselines of `cfpm
+/// accuracy`): same construction path, any kind, no content id.
 BuildReply build(const netlist::Netlist& n, power::ModelKind kind,
                  const power::ModelOptions& options);
 

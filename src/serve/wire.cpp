@@ -237,15 +237,10 @@ std::string encode_build_request(const service::BuildRequest& req) {
   os << "circuit " << req.netlist.name() << "\n"
      << "kind " << static_cast<unsigned>(o.kind) << "\n"
      << "max-nodes " << o.max_nodes << "\n"
-     << "order " << static_cast<unsigned>(o.order) << "\n"
-     << "reorder-passes " << o.reorder_passes << "\n"
-     << "approx " << (o.approximate_during_construction ? 1 : 0) << "\n"
      << "degrade " << (o.degrade ? 1 : 0) << "\n"
      << "deadline-ms " << (o.deadline_ms ? std::to_string(*o.deadline_ms)
                                          : std::string("none"))
      << "\n"
-     << "char-vectors " << o.characterization_vectors << "\n"
-     << "char-seed " << o.characterization_seed << "\n"
      << "netlist " << bench.size() << "\n"
      << bench;
   return os.str();
@@ -257,19 +252,13 @@ service::BuildRequest decode_build_request(std::string_view payload) {
   const std::string circuit(r.field("circuit"));
   service::BuildOptions& o = req.options;
   const auto kind = r.number<unsigned>("kind");
-  // Kind 2 is retired: it aliased kind 0 under a different ModelId.
-  if (kind == 2 || kind > static_cast<unsigned>(power::ModelKind::kLinear)) {
+  // The daemon serves ADD models only: kinds 0 and 1. Kind 2 is retired,
+  // and the characterized baselines (3, 4) are built in-process only.
+  if (kind > static_cast<unsigned>(power::ModelKind::kAddUpperBound)) {
     throw ParseError("wire: unknown model kind " + std::to_string(kind));
   }
   o.kind = static_cast<power::ModelKind>(kind);
   o.max_nodes = r.number<std::size_t>("max-nodes");
-  const auto order = r.number<unsigned>("order");
-  if (order > static_cast<unsigned>(power::VariableOrder::kBlocked)) {
-    throw ParseError("wire: unknown variable order " + std::to_string(order));
-  }
-  o.order = static_cast<power::VariableOrder>(order);
-  o.reorder_passes = r.number<unsigned>("reorder-passes");
-  o.approximate_during_construction = parse_flag(r.field("approx"), "approx");
   o.degrade = parse_flag(r.field("degrade"), "degrade");
   const std::string_view deadline = r.field("deadline-ms");
   if (deadline != "none") {
@@ -280,8 +269,6 @@ service::BuildRequest decode_build_request(std::string_view payload) {
     }
     o.deadline_ms = *ms;
   }
-  o.characterization_vectors = r.number<std::size_t>("char-vectors");
-  o.characterization_seed = r.number<std::uint64_t>("char-seed");
   const std::size_t bench_size = r.number<std::size_t>("netlist");
   std::istringstream bench{std::string(r.bytes(bench_size))};
   req.netlist = netlist::read_bench(bench, circuit);

@@ -3,7 +3,7 @@
 // A frame is a fixed 16-byte binary header followed by a text payload:
 //
 //   bytes 0..3   magic "CFPM"
-//   bytes 4..5   protocol version (u16 LE) — currently 3
+//   bytes 4..5   protocol version (u16 LE) — kProtocolVersion below
 //   bytes 6..7   message type (u16 LE, MsgType)
 //   bytes 8..11  payload length (u32 LE)
 //   bytes 12..15 CRC-32 of the payload (u32 LE)
@@ -35,7 +35,9 @@ namespace cfpm::serve::wire {
 /// 3: build, eval, trace and chip payloads dropped their `version` line
 /// (this header field is the one version check).
 /// 4: the build reply dropped its `attempts` line.
-inline constexpr std::uint16_t kProtocolVersion = 4;
+/// 5: the build request dropped its `order`, `reorder-passes`, `approx`,
+/// `char-vectors` and `char-seed` lines and carries ADD kinds (0, 1) only.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr char kMagic[4] = {'C', 'F', 'P', 'M'};
 /// Upper bound on a payload a peer may declare (64 MiB): a corrupt length

@@ -24,10 +24,9 @@ std::string vcd_id(std::size_t index) {
 }  // namespace
 
 void write_vcd(std::ostream& os, const netlist::Netlist& n,
-               const InputSequence& seq, const GateLevelSimulator* simulator,
-               const VcdOptions& options) {
+               const InputSequence& seq, const GateLevelSimulator* simulator) {
   CFPM_REQUIRE(seq.num_inputs() == n.num_inputs());
-  const bool internal = options.include_internal && simulator != nullptr;
+  const bool internal = simulator != nullptr;
 
   // Which signals appear in the dump, in declaration order.
   std::vector<netlist::SignalId> dumped;
@@ -40,7 +39,7 @@ void write_vcd(std::ostream& os, const netlist::Netlist& n,
 
   os << "$date cfpm trace $end\n";
   os << "$version cfpm 1.0 $end\n";
-  os << "$timescale " << options.timescale << " $end\n";
+  os << "$timescale 1ns $end\n";
   os << "$scope module " << (n.name().empty() ? "top" : n.name()) << " $end\n";
   for (std::size_t i = 0; i < dumped.size(); ++i) {
     os << "$var wire 1 " << vcd_id(i) << " " << n.signal(dumped[i]).name

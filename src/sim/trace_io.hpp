@@ -14,19 +14,11 @@
 
 namespace cfpm::sim {
 
-struct VcdOptions {
-  /// Emitted in the header ("1ns" per vector by default).
-  const char* timescale = "1ns";
-  /// Dump internal gate outputs too (requires a simulator in write_vcd).
-  bool include_internal = true;
-};
-
-/// Writes the workload `seq` applied to `n`. When `simulator` is non-null
-/// (and options.include_internal), internal signal values are dumped as
-/// well. Throws cfpm::Error on stream failure.
+/// Writes the workload `seq` applied to `n`, one 1ns timestep per vector.
+/// When `simulator` is non-null, internal signal values are dumped as well.
+/// Throws cfpm::Error on stream failure.
 void write_vcd(std::ostream& os, const netlist::Netlist& n,
                const InputSequence& seq,
-               const GateLevelSimulator* simulator = nullptr,
-               const VcdOptions& options = {});
+               const GateLevelSimulator* simulator = nullptr);
 
 }  // namespace cfpm::sim

@@ -452,13 +452,12 @@ int cmd_build(const Args& a) {
             << reply.build_info.reorder_runs << " reorder runs\n";
   const int outcome = report_build_outcome(reply.build_info);
   if (!a.output.empty()) {
-    const auto* model =
-        dynamic_cast<const power::AddPowerModel*>(reply.model.get());
-    if (model == nullptr) throw Error("build produced a non-serializable model");
+    // A build request always builds an ADD model.
+    const auto& model = dynamic_cast<const power::AddPowerModel&>(*reply.model);
     // Crash-safe: the model appears complete or not at all; a failure
     // mid-save never leaves a truncated file where a previous good model
     // used to be.
-    atomic_write_file(a.output, [&](std::ostream& os) { model->save(os); });
+    atomic_write_file(a.output, [&](std::ostream& os) { model.save(os); });
     std::cout << "saved   : " << a.output << "\n";
   }
   return outcome;

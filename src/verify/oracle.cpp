@@ -547,18 +547,16 @@ serve::Client connect_with_retry(const std::string& socket_path) {
 CheckResult check_serve_roundtrip(const Netlist& n, const CheckContext& ctx) {
   Xoshiro256 rng = check_rng(ctx.seed, 0xda0b0au);
 
-  // Sampled request with the wire-shape option subset; degrade off so the
-  // daemon must serve exactly the model the options ask for.
+  // Sampled request over the model-shaping knobs a build request carries
+  // (kind, max_nodes); degrade off so the daemon must serve exactly the
+  // model the options ask for. The other builder knobs are sampled by the
+  // in-process checks (sampled_options).
   service::BuildRequest request;
   request.netlist = n;
   service::BuildOptions& b = request.options;
   b.kind = rng.next_bool(0.5) ? power::ModelKind::kAddAverage
                               : power::ModelKind::kAddUpperBound;
   b.max_nodes = rng.next_bool(0.5) ? 0 : 16 + rng.next_below(256);
-  b.order = rng.next_bool(0.5) ? power::VariableOrder::kInterleaved
-                               : power::VariableOrder::kBlocked;
-  b.reorder_passes = static_cast<unsigned>(rng.next_below(3));
-  b.approximate_during_construction = rng.next_bool(0.8);
   b.degrade = false;
 
   service::EvalRequest eval;

@@ -59,6 +59,10 @@ TEST(ChipSpec, RejectsMalformedText) {
   EXPECT_THROW(ChipSpec::parse("4x6x0"), Error);
   // The narrowest library macro needs 4 bits per block.
   EXPECT_THROW(ChipSpec::parse("4x6x3"), Error);
+  // Counts whose products C*M (bus bits) or C*B (macros) wrap size_t.
+  EXPECT_THROW(ChipSpec::parse("2x1x9223372036854775808"), Error);
+  EXPECT_THROW(ChipSpec::parse("3x1x6148914691236517206"), Error);
+  EXPECT_THROW(ChipSpec::parse("4294967296x4294967296x16"), Error);
 }
 
 TEST(ChipTree, TopologyMatchesSpec) {

@@ -19,7 +19,8 @@
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "power/baselines.hpp"
+#include "netlist/library.hpp"
+#include "power/add_model.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -28,15 +29,43 @@
 namespace cfpm::serve {
 namespace {
 
-std::shared_ptr<const power::PowerModel> constant_model(double value) {
-  return std::make_shared<power::ConstantModel>(value, 4);
+using AddModelPtr = std::shared_ptr<const power::AddPowerModel>;
+
+/// `n` small ADD models to admit: copies of the exact c17 model. Each copy
+/// is a distinct object, so a lookup is checked by identity. Copies share
+/// one manager and touch its reference counts, so make them on one thread
+/// before any concurrent use.
+std::vector<AddModelPtr> c17_models(std::size_t n) {
+  static const power::AddPowerModel c17 = power::AddPowerModel::build(
+      netlist::gen::c17(), netlist::GateLibrary::standard());
+  std::vector<AddModelPtr> models;
+  models.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    models.push_back(std::make_shared<const power::AddPowerModel>(c17));
+  }
+  return models;
 }
 
-Registry::Entry entry_of(std::uint64_t key, double value) {
+service::ModelId id_of(std::uint64_t key) {
+  return {key, key ^ 0x5a5a5a5a5a5a5a5aull};
+}
+
+Registry::Entry entry_of(std::uint64_t key, AddModelPtr model) {
   Registry::Entry e;
-  e.id = {key, key ^ 0x5a5a5a5a5a5a5a5aull};
-  e.model = constant_model(value);
+  e.id = id_of(key);
+  e.model = std::move(model);
   e.circuit = "m" + std::to_string(key);
+  return e;
+}
+
+/// The entry the daemon admits for a clean build reply.
+Registry::Entry entry_of(const service::BuildReply& built,
+                         std::string circuit) {
+  Registry::Entry e;
+  e.id = built.id;
+  e.model = std::dynamic_pointer_cast<const power::AddPowerModel>(built.model);
+  e.circuit = std::move(circuit);
+  e.nodes = built.model_nodes;
   return e;
 }
 
@@ -53,13 +82,13 @@ std::string fresh_dir(const char* tag) {
 
 TEST(Registry, AdmitThenLookup) {
   Registry registry;
+  const std::vector<AddModelPtr> two = c17_models(2);
   EXPECT_EQ(registry.lookup({1, 2}), nullptr);
-  EXPECT_TRUE(registry.admit(entry_of(1, 10.0)));
-  EXPECT_TRUE(registry.admit(entry_of(2, 20.0)));
+  EXPECT_TRUE(registry.admit(entry_of(1, two[0])));
+  EXPECT_TRUE(registry.admit(entry_of(2, two[1])));
   ASSERT_EQ(registry.size(), 2u);
-  const auto m1 = registry.lookup(entry_of(1, 0).id);
-  ASSERT_NE(m1, nullptr);
-  EXPECT_EQ(m1->estimate_ff({}, {}), 10.0);
+  EXPECT_EQ(registry.lookup(id_of(1)), two[0]);
+  EXPECT_EQ(registry.lookup(id_of(2)), two[1]);
   EXPECT_EQ(registry.lookup({3, 4}), nullptr);
 
   // Key shapes that stress a hash index more than uniform random keys do:
@@ -72,24 +101,23 @@ TEST(Registry, AdmitThenLookup) {
     const std::uint64_t k = rng.next();
     if (std::find(keys.begin(), keys.end(), k) == keys.end()) keys.push_back(k);
   }
+  const std::vector<AddModelPtr> models = c17_models(keys.size());
   Registry shaped;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(shaped.admit(entry_of(keys[i], static_cast<double>(i))));
+    ASSERT_TRUE(shaped.admit(entry_of(keys[i], models[i])));
   }
   ASSERT_EQ(shaped.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto m = shaped.lookup(entry_of(keys[i], 0).id);
-    ASSERT_NE(m, nullptr) << "key " << keys[i];
-    EXPECT_EQ(m->estimate_ff({}, {}), static_cast<double>(i));
+    EXPECT_EQ(shaped.lookup(id_of(keys[i])), models[i]) << "key " << keys[i];
   }
   SplitMix64 outsiders(0x888);
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t k = outsiders.next();
     if (std::find(keys.begin(), keys.end(), k) != keys.end()) continue;
-    EXPECT_EQ(shaped.lookup(entry_of(k, 0).id), nullptr);
+    EXPECT_EQ(shaped.lookup(id_of(k)), nullptr);
   }
-  EXPECT_EQ(shaped.lookup(entry_of(200, 0).id), nullptr);
-  EXPECT_EQ(shaped.lookup(entry_of(101ull << 56, 0).id), nullptr);
+  EXPECT_EQ(shaped.lookup(id_of(200)), nullptr);
+  EXPECT_EQ(shaped.lookup(id_of(101ull << 56)), nullptr);
   const std::vector<Registry::Entry> listed = shaped.entries();
   ASSERT_EQ(listed.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -99,30 +127,30 @@ TEST(Registry, AdmitThenLookup) {
 
 TEST(Registry, ReadmissionIsIdempotent) {
   Registry registry;
-  EXPECT_TRUE(registry.admit(entry_of(7, 70.0)));
-  EXPECT_FALSE(registry.admit(entry_of(7, 999.0)));
+  const std::vector<AddModelPtr> two = c17_models(2);
+  EXPECT_TRUE(registry.admit(entry_of(7, two[0])));
+  EXPECT_FALSE(registry.admit(entry_of(7, two[1])));
   EXPECT_EQ(registry.size(), 1u);
   // First admission wins — the id is the content, so a re-admission of the
   // same id must carry the same bits anyway.
-  EXPECT_EQ(registry.lookup(entry_of(7, 0).id)->estimate_ff({}, {}), 70.0);
+  EXPECT_EQ(registry.lookup(id_of(7)), two[0]);
 }
 
 TEST(Registry, PrimaryKeyCollisionRejected) {
   Registry registry;
-  EXPECT_TRUE(registry.admit(entry_of(7, 70.0)));
-  Registry::Entry collider = entry_of(7, 71.0);
+  const std::vector<AddModelPtr> two = c17_models(2);
+  EXPECT_TRUE(registry.admit(entry_of(7, two[0])));
+  Registry::Entry collider = entry_of(7, two[1]);
   collider.id.check ^= 1;  // same 64-bit key, different content
   EXPECT_THROW(registry.admit(std::move(collider)), Error);
-  service::ModelId wrong = entry_of(7, 0).id;
+  service::ModelId wrong = id_of(7);
   wrong.check ^= 1;
   EXPECT_THROW((void)registry.lookup(wrong), Error);
 }
 
 TEST(Registry, NullModelRejected) {
   Registry registry;
-  Registry::Entry e = entry_of(1, 1.0);
-  e.model = nullptr;
-  EXPECT_THROW(registry.admit(std::move(e)), ContractError);
+  EXPECT_THROW(registry.admit(entry_of(1, nullptr)), ContractError);
 }
 
 // The TSan-critical test: readers hammer lookups (hits and misses) while a
@@ -136,6 +164,7 @@ TEST(RegistryConcurrency, LookupsRaceAdmissions) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> published{0};
 
+  const std::vector<AddModelPtr> models = c17_models(kEntries);
   std::vector<std::thread> readers;
   std::atomic<int> failures{0};
   for (int r = 0; r < kReaders; ++r) {
@@ -144,15 +173,13 @@ TEST(RegistryConcurrency, LookupsRaceAdmissions) {
       while (!stop.load(std::memory_order_acquire)) {
         const std::uint64_t limit = published.load(std::memory_order_acquire);
         for (std::uint64_t k = 1; k <= kEntries; ++k) {
-          const auto m = registry.lookup(entry_of(k, 0).id);
+          const auto m = registry.lookup(id_of(k));
           if (k <= limit && m == nullptr) {
             // Published entries must never disappear.
             failures.fetch_add(1);
           }
           if (m != nullptr) {
-            if (m->estimate_ff({}, {}) != 10.0 * static_cast<double>(k)) {
-              failures.fetch_add(1);  // wrong model served
-            }
+            if (m != models[k - 1]) failures.fetch_add(1);  // wrong model
             seen_high = std::max(seen_high, k);
           }
         }
@@ -163,7 +190,7 @@ TEST(RegistryConcurrency, LookupsRaceAdmissions) {
   }
 
   for (std::uint64_t k = 1; k <= kEntries; ++k) {
-    ASSERT_TRUE(registry.admit(entry_of(k, 10.0 * static_cast<double>(k))));
+    ASSERT_TRUE(registry.admit(entry_of(k, models[k - 1])));
     published.store(k, std::memory_order_release);
   }
   stop.store(true, std::memory_order_release);
@@ -176,12 +203,15 @@ TEST(RegistryConcurrency, ConcurrentAdmittersSerialize) {
   Registry registry;
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 16;
+  const std::vector<AddModelPtr> models = c17_models(kThreads * kPerThread);
+  const auto key_of = [](int t, std::uint64_t i) {
+    return static_cast<std::uint64_t>(t) * 1000 + i;
+  };
   std::vector<std::thread> admitters;
   for (int t = 0; t < kThreads; ++t) {
     admitters.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        const std::uint64_t key = static_cast<std::uint64_t>(t) * 1000 + i;
-        registry.admit(entry_of(key, static_cast<double>(key)));
+        registry.admit(entry_of(key_of(t, i), models[t * kPerThread + i]));
       }
     });
   }
@@ -189,8 +219,8 @@ TEST(RegistryConcurrency, ConcurrentAdmittersSerialize) {
   EXPECT_EQ(registry.size(), kThreads * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
     for (std::uint64_t i = 0; i < kPerThread; ++i) {
-      const std::uint64_t key = static_cast<std::uint64_t>(t) * 1000 + i;
-      ASSERT_NE(registry.lookup(entry_of(key, 0).id), nullptr);
+      ASSERT_EQ(registry.lookup(id_of(key_of(t, i))),
+                models[t * kPerThread + i]);
     }
   }
 }
@@ -210,18 +240,8 @@ TEST(RegistryPersistence, WarmRestartRoundTrip) {
   ASSERT_NE(spaced.id, built.id);
 
   Registry registry;
-  Registry::Entry e;
-  e.id = built.id;
-  e.model = built.model;
-  e.circuit = "c17";
-  e.nodes = built.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(e)));
-  Registry::Entry s;
-  s.id = spaced.id;
-  s.model = spaced.model;
-  s.circuit = "my design  v2";
-  s.nodes = spaced.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(s)));
+  ASSERT_TRUE(registry.admit(entry_of(built, "c17")));
+  ASSERT_TRUE(registry.admit(entry_of(spaced, "my design  v2")));
   registry.save(dir);
 
   Registry reloaded;
@@ -256,12 +276,7 @@ TEST(RegistryPersistence, CorruptModelFileIsSkippedNotServed) {
   request.netlist = netlist::gen::c17();
   const service::BuildReply built = service::build(request);
   Registry registry;
-  Registry::Entry e;
-  e.id = built.id;
-  e.model = built.model;
-  e.circuit = "c17";
-  e.nodes = built.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(e)));
+  ASSERT_TRUE(registry.admit(entry_of(built, "c17")));
   registry.save(dir);
 
   // Flip bytes in the middle of the model file; its CRC trailer must catch
@@ -290,12 +305,7 @@ TEST(RegistryPersistence, ForgedNodeCountIsSkippedAndCounted) {
   const service::BuildReply forged = service::build(request);
   Registry registry;
   for (const service::BuildReply* built : {&good, &forged}) {
-    Registry::Entry e;
-    e.id = built->id;
-    e.model = built->model;
-    e.circuit = "c17";
-    e.nodes = built->model_nodes;
-    ASSERT_TRUE(registry.admit(std::move(e)));
+    ASSERT_TRUE(registry.admit(entry_of(*built, "c17")));
   }
   registry.save(dir);
 
@@ -330,12 +340,7 @@ TEST(RegistryPersistence, CorruptManifestRefusesToLoad) {
   request.netlist = netlist::gen::c17();
   const service::BuildReply built = service::build(request);
   Registry registry;
-  Registry::Entry e;
-  e.id = built.id;
-  e.model = built.model;
-  e.circuit = "c17";
-  e.nodes = built.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(e)));
+  ASSERT_TRUE(registry.admit(entry_of(built, "c17")));
   registry.save(dir);
 
   // Corrupting the body must trip the manifest CRC.

@@ -198,14 +198,14 @@ TEST(ServeErrors, TooFewVectorsIsAUsageReplyAndTheConnectionSurvives) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_NE(client.ping().find("version 4"), std::string::npos);
+  EXPECT_NE(client.ping().find("version 5"), std::string::npos);
 }
 
 TEST(ServeLifecycle, PingReportsVersionAndClientShutdownExitsZero) {
   ScopedServer daemon("lifecycle");
   {
     Client client = connect_with_retry(daemon.socket_path);
-    EXPECT_NE(client.ping().find("version 4"), std::string::npos);
+    EXPECT_NE(client.ping().find("version 5"), std::string::npos);
     client.shutdown_server();
   }
   daemon.join();

@@ -98,9 +98,6 @@ TEST(ServiceModelId, ContentAddressingSeparatesShapingKnobs) {
   shaped = base;
   shaped.kind = power::ModelKind::kAddUpperBound;
   EXPECT_NE(id, model_id(c17, shaped));
-  shaped = base;
-  shaped.order = power::VariableOrder::kBlocked;
-  EXPECT_NE(id, model_id(c17, shaped));
 
   // ...resilience knobs do not (same clean model either way).
   BuildOptions resilience = base;
@@ -141,6 +138,21 @@ TEST(ServiceBuild, BuildsAndEvaluates) {
   const EvalReply again = evaluate(*built.model, eval);
   EXPECT_EQ(reply.total_ff, again.total_ff);
   EXPECT_EQ(reply.peak_ff, again.peak_ff);
+}
+
+TEST(ServiceBuild, RequestsServeAddKindsOnlyTheRichFormAnyKind) {
+  BuildRequest request;
+  request.netlist = netlist::gen::c17();
+  for (const power::ModelKind kind :
+       {power::ModelKind::kConstant, power::ModelKind::kLinear}) {
+    request.options.kind = kind;
+    EXPECT_THROW((void)build(request), UsageError);
+    // The characterized baselines stay available in-process.
+    const BuildReply baseline =
+        build(request.netlist, kind, to_model_options(request.options));
+    ASSERT_NE(baseline.model, nullptr);
+    EXPECT_EQ(baseline.model->num_inputs(), request.netlist.num_inputs());
+  }
 }
 
 TEST(ServiceEvaluate, RejectsInfeasibleStatistics) {

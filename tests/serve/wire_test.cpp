@@ -55,12 +55,21 @@ TEST(Wire, BadMagicAndVersionRejected) {
                              length, crc),
                ParseError);
 
-  std::string bad_version = frame;
-  bad_version[4] = static_cast<char>(kProtocolVersion + 1);
-  EXPECT_THROW(
-      decode_header(std::string_view(bad_version).substr(0, kHeaderSize),
-                    length, crc),
-      Error);
+  // An older peer (version 4 build requests still carried the ablation and
+  // characterization lines) and a newer one get the typed version error.
+  for (const int version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    std::string bad_version = frame;
+    bad_version[4] = static_cast<char>(version);
+    try {
+      (void)decode_header(
+          std::string_view(bad_version).substr(0, kHeaderSize), length, crc);
+      ADD_FAILURE() << "version " << version << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("protocol version mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   std::string bomb = frame;  // declared length over kMaxPayload
   bomb[8] = static_cast<char>(0xff);
@@ -77,28 +86,18 @@ TEST(Wire, BuildRequestRoundTripsNetlistAndOptions) {
   request.netlist = netlist::gen::mcnc_like("cm85");
   request.options.kind = power::ModelKind::kAddUpperBound;
   request.options.max_nodes = 321;
-  request.options.order = power::VariableOrder::kBlocked;
-  request.options.reorder_passes = 7;
-  request.options.approximate_during_construction = false;
   request.options.degrade = false;
   request.options.deadline_ms = 4321;
-  request.options.characterization_vectors = 55;
-  request.options.characterization_seed = 0xfeedface;
 
   const service::BuildRequest back =
       decode_build_request(encode_build_request(request));
   EXPECT_EQ(back.options.kind, request.options.kind);
   EXPECT_EQ(back.options.max_nodes, request.options.max_nodes);
-  EXPECT_EQ(back.options.order, request.options.order);
-  EXPECT_EQ(back.options.reorder_passes, request.options.reorder_passes);
-  EXPECT_EQ(back.options.approximate_during_construction,
-            request.options.approximate_during_construction);
   EXPECT_EQ(back.options.degrade, request.options.degrade);
   EXPECT_EQ(back.options.deadline_ms, request.options.deadline_ms);
-  EXPECT_EQ(back.options.characterization_vectors,
-            request.options.characterization_vectors);
-  EXPECT_EQ(back.options.characterization_seed,
-            request.options.characterization_seed);
+  // build_threads is not a wire field: it keeps its default either way.
+  EXPECT_EQ(back.options.build_threads, request.options.build_threads);
+  EXPECT_EQ(back.netlist.name(), request.netlist.name());
   // The netlist crosses as canonical .bench text, so the content id — the
   // registry key — is preserved exactly.
   EXPECT_EQ(service::model_id(back.netlist, back.options),
@@ -116,16 +115,15 @@ TEST(Wire, BuildRequestKindCodesAreExactlyTheLiveKinds) {
     payload.replace(pos, 7, std::string("kind ") + code + "\n");
     return payload;
   };
-  // The wire codes of the live kinds stay fixed (they feed every ModelId).
+  // The wire codes of the ADD kinds stay fixed (they feed every ModelId).
   EXPECT_EQ(decode_build_request(with_kind("1")).options.kind,
             power::ModelKind::kAddUpperBound);
-  EXPECT_EQ(decode_build_request(with_kind("3")).options.kind,
-            power::ModelKind::kConstant);
-  EXPECT_EQ(decode_build_request(with_kind("4")).options.kind,
-            power::ModelKind::kLinear);
-  // Kind 2 was an alias of kind 0 under a different ModelId; it is now an
-  // unknown kind, like any code past the last one.
+  // Kind 2 was an alias of kind 0 under a different ModelId, and the
+  // characterized baselines (3, 4) are built in-process only: the daemon
+  // serves ADD models, so each is an unknown kind, like any code past them.
   EXPECT_THROW(decode_build_request(with_kind("2")), ParseError);
+  EXPECT_THROW(decode_build_request(with_kind("3")), ParseError);
+  EXPECT_THROW(decode_build_request(with_kind("4")), ParseError);
   EXPECT_THROW(decode_build_request(with_kind("5")), ParseError);
 }
 
@@ -333,7 +331,7 @@ TEST(Wire, RetiredErrorKindIsRejected) {
   // Kinds 4 and 6 carried a node-budget error and a cancellation error
   // that no longer exist; their neighbours keep their codes, so retiring
   // them did not bump the protocol version (version 4 is the build reply
-  // dropping its `attempts` line).
+  // dropping its `attempts` line, version 5 the ADD-only build request).
   EXPECT_THROW(decode_error("code 1\nkind 4\nmessage 1\nx"), ParseError);
   EXPECT_THROW(decode_error("code 1\nkind 6\nmessage 1\nx"), ParseError);
   EXPECT_EQ(decode_error("code 1\nkind 3\nmessage 1\nx").kind,
@@ -345,7 +343,7 @@ TEST(Wire, RetiredErrorKindIsRejected) {
   EXPECT_EQ(decode_error("code 5\nkind 8\nmessage 1\nx").kind,
             service::ErrorKind::kInternal);
   EXPECT_THROW(decode_error("code 1\nkind 9\nmessage 1\nx"), ParseError);
-  EXPECT_EQ(kProtocolVersion, 4);
+  EXPECT_EQ(kProtocolVersion, 5);
 }
 
 TEST(Wire, WriteToClosedSocketPeerThrowsInsteadOfRaisingSigpipe) {

@@ -424,6 +424,15 @@ TEST(Cli, ChipTraceOfOneVectorIsAUsageError) {
   std::remove(trace.c_str());
 }
 
+TEST(Cli, ChipSpecWhoseProductsWrapIsAUsageError) {
+  // 2 x 2^63 bus bits wrapped to a zero-width bus (a library precondition,
+  // exit 1); the spec is refused before any macro is built.
+  const auto r = run("chip --spec 2x1x9223372036854775808 --vectors 10");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("bad chip spec"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("precondition"), std::string::npos) << r.output;
+}
+
 TEST(Cli, ChipAndRtlPrintThePinnedExactLines) {
   // Pins the composed numbers: the chip `exact` lines print shortest
   // round-trip doubles, so any change in a per-transition value or in the
